@@ -327,6 +327,14 @@ class CandidateEngine:
         self.rows = 0
         self.cell_start: Optional[List[int]] = None
         self.cell_positions: Optional[List[int]] = None
+        #: ``(min_x, min_y, max_x, max_y)`` covering every alive task (grid
+        #: mode only, else ``None``): set by each grid build, grown by
+        #: :meth:`add_tasks`, left alone by :meth:`retire_tasks` — so it may
+        #: over-cover but never under-cover.  Routing rejects a worker whose
+        #: squared gap to this box exceeds its squared radius without
+        #: probing (see :meth:`LTCDispatcher.feed_worker
+        #: <repro.service.dispatcher.LTCDispatcher.feed_worker>`).
+        self.task_bounds: Optional[Tuple[float, float, float, float]] = None
         if self.sigmoid and use_spatial_index:
             self.mode = "grid"
             self._build_csr_grid()
@@ -359,7 +367,9 @@ class CandidateEngine:
         self.grid_epoch += 1
         if not alive_positions:
             # Every task is retired: a degenerate 1-cell empty grid keeps
-            # the query paths uniform (they gather nothing).
+            # the query paths uniform (they gather nothing), and an
+            # inverted infinite box that any appended task overwrites.
+            self.task_bounds = (math.inf, math.inf, -math.inf, -math.inf)
             self.cell_size = 1.0
             self.grid_min_x = 0.0
             self.grid_min_y = 0.0
@@ -371,6 +381,7 @@ class CandidateEngine:
         bounds = BoundingBox.from_points(
             self.tasks[position].location for position in alive_positions
         )
+        self.task_bounds = (bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y)
         bounds = bounds.expanded(max(self.d_max, 1.0))
         cell = max(self.d_max, 1.0)
         cols = max(1, int(math.ceil(bounds.width / cell)))
@@ -439,21 +450,29 @@ class CandidateEngine:
                     f"task id {task.task_id} is already in the snapshot"
                 )
             fresh.add(task.task_id)
+        grid = self.mode == "grid"
+        if grid:
+            min_x, min_y, max_x, max_y = self.task_bounds
         for task in tasks:
             position = self.num_tasks
             task_id = task.task_id
             if self.task_ids and task_id < self.task_ids[-1]:
                 self.positions_id_ordered = False
+            x, y = task.location.x, task.location.y
             self.tasks.append(task)
             self.task_ids.append(task_id)
-            self.xs.append(task.location.x)
-            self.ys.append(task.location.y)
+            self.xs.append(x)
+            self.ys.append(y)
             self.alive.append(True)
             position_of[task_id] = position
             self.instance_positions.append(position)
             self.num_tasks = position + 1
+            if grid:
+                min_x, max_x = min(min_x, x), max(max_x, x)
+                min_y, max_y = min(min_y, y), max(max_y, y)
         self.epoch += 1
-        if self.mode == "grid":
+        if grid:
+            self.task_bounds = (min_x, min_y, max_x, max_y)
             spill = self.num_tasks - self.spill_start
             threshold = max(
                 SPILL_REBUILD_MIN,

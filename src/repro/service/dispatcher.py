@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.registry import build_solver
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.arrangement import Assignment
 from repro.core.candidate_engine import validate_candidate_backend_name
-from repro.core.candidates import CandidateFinder
+from repro.core.candidates import CandidateFinder, sigmoid_eligibility_radius
 from repro.core.instance import LTCInstance
 from repro.core.session import Session, SessionSnapshot
 from repro.core.task import Task
@@ -95,6 +95,16 @@ class _ManagedSession:
     #: No longer monotone: a mid-stream task submission reopens it.
     complete: bool = False
     routed_stream: Optional[List[Worker]] = None
+    #: ``(d_max, min_accuracy)`` of a grid-mode routing snapshot — the key
+    #: the per-arrival radius is shared on — or ``None`` when the snapshot
+    #: has no radius gate (scan/generic engines), so it is always probed.
+    reach_key: Optional[Tuple[float, float]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        engine = self.candidates.engine
+        self.reach_key = (
+            (engine.d_max, engine.min_accuracy) if engine.mode == "grid" else None
+        )
 
     def deliver(self, worker: Worker) -> List[Assignment]:
         """Re-index ``worker`` into local arrival order and feed the session."""
@@ -123,10 +133,11 @@ class LTCDispatcher:
     candidates:
         Candidate-engine backend used for the per-session eligibility
         routing test (``"python"``, ``"numpy"``, ``"auto"``, or ``None``
-        to defer to ``REPRO_CANDIDATES_BACKEND`` / auto-detection).  The
-        routing decision is a bulk ``has_candidates`` query per arrival
-        per open session, so the vectorized backend is what keeps the
-        dispatch hot path flat under heavy traffic.
+        to defer to ``REPRO_CANDIDATES_BACKEND`` / auto-detection).  Each
+        arrival first skips every session whose task box lies beyond the
+        worker's eligibility radius (see :meth:`feed_worker`), so the
+        backend's ``has_candidates`` probe runs only on the sessions the
+        worker may reach.
     clock:
         Monotonic time source used for the ``busy_seconds`` metric;
         defaults to :func:`time.perf_counter`.  Injectable so tests can
@@ -284,13 +295,43 @@ class LTCDispatcher:
         absorbs them in place).  The returned mapping has an entry for each
         session the worker reached, possibly with an empty assignment list
         when the session's solver declined to use the worker.
+
+        Under the sigmoid model with a spatial index, a session is skipped
+        without a ``has_candidates`` probe when its routing snapshot's task
+        bounding box lies beyond the worker's eligibility radius; the
+        radius is computed once per arrival for each distinct
+        ``(d_max, min_accuracy)``.  The test only rejects sessions the
+        probe would reject too, so routing is unchanged.
         """
         started = self._clock()
         self._metrics.workers_fed += 1
         deliveries: Dict[str, List[Assignment]] = {}
+        wx, wy = worker.location.x, worker.location.y
+        # Squared eligibility radius per (d_max, min_accuracy); -1.0 when
+        # the worker can never reach the threshold.
+        reach: Dict[Tuple[float, float], float] = {}
         for managed in self._sessions.values():
             if managed.complete:
                 continue
+            key = managed.reach_key
+            if key is not None:
+                r2 = reach.get(key)
+                if r2 is None:
+                    radius = sigmoid_eligibility_radius(worker.accuracy, *key)
+                    r2 = reach[key] = -1.0 if radius < 0 else radius * radius
+                if r2 < 0:
+                    continue
+                # Reach-box rejection, exact in the probe's own squared
+                # domain: a positive gap d to the task box with d*d > r2
+                # bounds every task's dx*dx + dy*dy above r2, because IEEE
+                # rounding is monotone.
+                min_x, min_y, max_x, max_y = managed.candidates.engine.task_bounds
+                d = min_x - wx if wx < min_x else wx - max_x
+                if d > 0.0 and d * d > r2:
+                    continue
+                d = min_y - wy if wy < min_y else wy - max_y
+                if d > 0.0 and d * d > r2:
+                    continue
             if not managed.candidates.has_candidates(worker):
                 continue
             assignments = managed.deliver(worker)

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import faulthandler
+import multiprocessing
+import os
+import sys
+import threading
+from typing import Tuple
+
 import numpy as np
 import pytest
 
@@ -12,6 +19,70 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_instance
 from repro.geo.point import Point
+
+
+#: ``(cap in seconds, private copy of the real stderr)`` for the watchdog
+#: armed when ``pytest-timeout`` is absent.
+_WATCHDOG = pytest.StashKey[Tuple[float, int]]()
+
+#: How long after the cap the faulthandler last resort fires, for when the
+#: interpreter itself is stuck and the watchdog thread never runs.
+_LAST_RESORT_S = 15.0
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    """Without ``pytest-timeout``, still end a wedged test run.
+
+    ``pytest-timeout`` reads the ``timeout`` key of ``pyproject.toml``;
+    when the plugin is not installed the same cap arms a watchdog per
+    test that dumps every thread's stack, kills the test's worker
+    processes and exits, so a deadlock fails the run instead of hanging
+    it.
+    """
+    raw = config.inicfg.get("timeout")
+    if raw is None or config.pluginmanager.hasplugin("timeout"):
+        return
+    if float(raw) <= 0:  # pytest-timeout's "no cap"
+        return
+    # Output capture is suspended while plugins configure, so this is
+    # the terminal's stderr rather than a per-test capture file.
+    config.stash[_WATCHDOG] = (float(raw), os.dup(sys.stderr.fileno()))
+
+
+def pytest_unconfigure(config: pytest.Config) -> None:
+    watchdog = config.stash.get(_WATCHDOG, None)
+    if watchdog is not None:
+        os.close(watchdog[1])
+
+
+def _expire(nodeid: str, timeout: float, fd: int) -> None:
+    os.write(fd, f"\n{nodeid} exceeded the {timeout:g} s cap\n".encode())
+    faulthandler.dump_traceback(file=fd, all_threads=True)
+    # Forked shard workers share the run's stdout; left alive they keep
+    # a caller reading that pipe waiting after this process is gone.
+    for child in multiprocessing.active_children():
+        child.kill()
+    os._exit(1)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    watchdog = item.config.stash.get(_WATCHDOG, None)
+    if watchdog is None:
+        yield
+        return
+    timeout, fd = watchdog
+    timer = threading.Timer(timeout, _expire, (item.nodeid, timeout, fd))
+    timer.daemon = True
+    timer.start()
+    faulthandler.dump_traceback_later(
+        timeout + _LAST_RESORT_S, exit=True, file=fd
+    )
+    try:
+        yield
+    finally:
+        timer.cancel()
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

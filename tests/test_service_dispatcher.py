@@ -1,11 +1,14 @@
 """Tests for the multi-instance dispatch layer."""
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.registry import build_solver
 from repro.core.accuracy import SigmoidDistanceAccuracy
+from repro.core.candidates import sigmoid_eligibility_radius
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -215,3 +218,216 @@ class TestMetrics:
         summary = metrics.summary()
         assert summary["workers_fed"] == float(consumed)
         assert 0.0 <= summary["routed_fraction"] <= 1.0
+
+
+# --------------------------------------------------------------------------
+# Reach-box routing: feed_worker skips a grid-mode session whose task box is
+# out of the worker's radius before probing it.  Every test below checks the
+# deliveries of each arrival against an unindexed oracle that probes
+# ``has_candidates`` on every open, incomplete session.
+
+
+def unindexed_targets(dispatcher, worker):
+    """Sessions a dispatcher without the reach-box test would deliver to."""
+    return {
+        session_id
+        for session_id, managed in dispatcher._sessions.items()
+        if not managed.complete and managed.candidates.has_candidates(worker)
+    }
+
+
+def feed_checked(dispatcher, worker):
+    """Feed one arrival and assert its deliveries match the oracle's."""
+    expected = unindexed_targets(dispatcher, worker)
+    deliveries = dispatcher.feed_worker(worker)
+    assert set(deliveries) == expected
+    return deliveries
+
+
+def campaign(points, first_id=0, d_max=30.0, min_accuracy=0.66, model=None):
+    """An instance over tasks at ``points``; the low error rate keeps it open."""
+    return LTCInstance(
+        tasks=[Task.at(first_id + i, x, y) for i, (x, y) in enumerate(points)],
+        workers=[Worker.at(1, 0.0, 0.0, accuracy=0.9, capacity=2)],
+        error_rate=0.01,
+        accuracy_model=model or SigmoidDistanceAccuracy(d_max=d_max),
+        min_assignable_accuracy=min_accuracy,
+    )
+
+
+def arrival(index, x, y, accuracy=0.9):
+    return Worker.at(index, x, y, accuracy=accuracy, capacity=2)
+
+
+class TestReachBoxRouting:
+    def test_far_arrivals_are_rejected_without_probing(self, monkeypatch):
+        from repro.core.candidates import CandidateFinder
+
+        dispatcher = LTCDispatcher()
+        for dx, dy in OFFSETS:
+            dispatcher.submit_instance(campaign([(dx, dy), (dx + 10.0, dy)]))
+        probes = []
+        probe = CandidateFinder.has_candidates
+        monkeypatch.setattr(
+            CandidateFinder, "has_candidates",
+            lambda self, worker: probes.append(worker) or probe(self, worker),
+        )
+        assert dispatcher.feed_worker(arrival(1, 9000.0, 9000.0)) == {}
+        assert probes == []
+        # A worker near one district probes that district's session only.
+        assert len(dispatcher.feed_worker(arrival(2, 505.0, 0.0))) == 1
+        assert len(probes) == 1
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_gap_exactly_at_the_radius_is_not_rejected(self, side):
+        radius = sigmoid_eligibility_radius(0.9, 30.0, 0.66)
+        dispatcher = LTCDispatcher()
+        session_id = dispatcher.submit_instance(campaign([(0.0, 0.0)]))
+        wx = side * radius
+        assert (0.0 - wx) ** 2 == radius * radius
+        assert session_id in feed_checked(dispatcher, arrival(1, wx, 0.0))
+        beyond = math.nextafter(wx, side * math.inf)
+        assert feed_checked(dispatcher, arrival(2, beyond, 0.0)) == {}
+        assert feed_checked(dispatcher, arrival(3, 0.0, beyond)) == {}
+
+    def test_infinite_radius_reaches_everywhere(self):
+        dispatcher = LTCDispatcher()
+        session_id = dispatcher.submit_instance(
+            campaign([(0.0, 0.0)], min_accuracy=0.0)
+        )
+        engine = dispatcher._sessions[session_id].candidates.engine
+        assert engine.mode == "grid"
+        assert session_id in feed_checked(dispatcher, arrival(1, 1e6, -1e6))
+
+    def test_generic_model_sessions_are_always_probed(self):
+        from repro.core.accuracy import ConstantAccuracy
+
+        dispatcher = LTCDispatcher()
+        session_id = dispatcher.submit_instance(
+            campaign([(0.0, 0.0)], model=ConstantAccuracy(0.9))
+        )
+        assert dispatcher._sessions[session_id].reach_key is None
+        assert session_id in feed_checked(dispatcher, arrival(1, 1e6, 1e6))
+
+    def test_unreachable_threshold_skips_the_session(self):
+        dispatcher = LTCDispatcher()
+        dispatcher.submit_instance(campaign([(0.0, 0.0)], min_accuracy=0.9))
+        # 0.8 / 0.9 - 1 < 0: a negative radius, no task is ever eligible.
+        assert feed_checked(dispatcher, arrival(1, 0.0, 0.0, accuracy=0.8)) == {}
+
+    def test_all_retired_then_rebuilt_then_regrown(self):
+        dispatcher = LTCDispatcher()
+        session_id = dispatcher.submit_instance(
+            campaign([(0.0, 0.0), (5.0, 5.0)])
+        )
+        dispatcher.expire_tasks(session_id, [0, 1])
+        engine = dispatcher._sessions[session_id].candidates.engine
+        engine.rebuild_index()
+        assert engine.task_bounds == (math.inf, math.inf, -math.inf, -math.inf)
+        dispatcher.submit_tasks(session_id, [Task.at(10, 800.0, 800.0)])
+        assert engine.task_bounds == (800.0, 800.0, 800.0, 800.0)
+        assert feed_checked(dispatcher, arrival(1, 0.0, 0.0)) == {}
+        assert session_id in feed_checked(dispatcher, arrival(2, 805.0, 800.0))
+
+    @pytest.mark.parametrize("batch", [3, 100])
+    def test_submit_far_outside_the_original_box(self, batch):
+        # 3 tasks stay in the spill; 100 cross the rebuild threshold.
+        dispatcher = LTCDispatcher()
+        session_id = dispatcher.submit_instance(campaign([(0.0, 0.0)]))
+        engine = dispatcher._sessions[session_id].candidates.engine
+        builds = engine.grid_epoch
+        dispatcher.submit_tasks(
+            session_id,
+            [Task.at(1 + i, 2000.0 + i, -1500.0) for i in range(batch)],
+        )
+        assert (engine.grid_epoch > builds) == (batch == 100)
+        assert session_id in feed_checked(dispatcher, arrival(1, 2000.0, -1490.0))
+        assert session_id in feed_checked(dispatcher, arrival(2, 5.0, 0.0))
+        assert feed_checked(dispatcher, arrival(3, 1000.0, -700.0)) == {}
+
+    def test_sessions_with_different_reach_parameters_share_an_arrival(self):
+        dispatcher = LTCDispatcher()
+        wide = dispatcher.submit_instance(campaign([(0.0, 0.0)]))
+        wide_twin = dispatcher.submit_instance(campaign([(0.0, 0.0)]))
+        narrow = dispatcher.submit_instance(campaign([(0.0, 0.0)], d_max=5.0))
+        strict = dispatcher.submit_instance(
+            campaign([(0.0, 0.0)], min_accuracy=0.85)
+        )
+        assert len({dispatcher._sessions[s].reach_key
+                    for s in (wide, narrow, strict)}) == 3
+        # Radii for accuracy 0.9: wide ~29.0, strict ~27.2, narrow ~4.0.
+        assert set(feed_checked(dispatcher, arrival(1, 28.0, 0.0))) == {
+            wide, wide_twin,
+        }
+        assert set(feed_checked(dispatcher, arrival(2, 0.0, -20.0))) == {
+            wide, wide_twin, strict,
+        }
+        assert set(feed_checked(dispatcher, arrival(3, 2.0, 0.0))) == {
+            wide, wide_twin, narrow, strict,
+        }
+
+    def test_adopted_sessions_still_route_exactly(self):
+        donor, recipient = LTCDispatcher(), LTCDispatcher()
+        moved = donor.submit_instance(
+            campaign([(500.0, 0.0), (510.0, 0.0)]), session_id="moved"
+        )
+        stayed = recipient.submit_instance(
+            campaign([(0.0, 0.0)]), session_id="stayed"
+        )
+        assert feed_checked(donor, arrival(1, 505.0, 0.0)) != {}
+        assert recipient.adopt_sessions(donor) == [moved]
+        assert set(feed_checked(recipient, arrival(1, 505.0, 3.0))) == {moved}
+        assert set(feed_checked(recipient, arrival(2, 3.0, 0.0))) == {stayed}
+        assert feed_checked(recipient, arrival(3, 250.0, 0.0)) == {}
+        recipient.submit_tasks(moved, [Task.at(7, 500.0, 900.0)])
+        assert set(feed_checked(recipient, arrival(4, 500.0, 905.0))) == {moved}
+        assert recipient.poll()[moved].workers_routed == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_operation_sequences_match_the_oracle(self, data):
+        from repro.core.accuracy import ConstantAccuracy
+
+        coordinate = st.one_of(
+            st.sampled_from([0.0, 30.0, 60.0, 400.0]),
+            st.floats(-100.0, 500.0, allow_nan=False),
+        )
+        point = st.tuples(coordinate, coordinate)
+        dispatcher = LTCDispatcher()
+        tasks = {}
+        next_id = 0
+        for session in range(data.draw(st.integers(1, 5))):
+            points = data.draw(st.lists(point, min_size=1, max_size=4))
+            model = data.draw(st.sampled_from(
+                [None, SigmoidDistanceAccuracy(d_max=10.0), ConstantAccuracy(0.8)]
+            ))
+            session_id = dispatcher.submit_instance(
+                campaign(points, first_id=next_id, model=model,
+                         min_accuracy=data.draw(st.sampled_from([0.0, 0.66, 0.8]))),
+                solver=data.draw(st.sampled_from(["AAM", "LAF"])),
+            )
+            tasks[session_id] = list(range(next_id, next_id + len(points)))
+            next_id += len(points)
+        sessions = st.sampled_from(sorted(tasks))
+        for index in range(1, data.draw(st.integers(1, 25)) + 1):
+            op = data.draw(st.sampled_from(["feed", "feed", "submit", "expire",
+                                            "rebuild"]))
+            if op == "submit":
+                session_id = data.draw(sessions)
+                points = data.draw(st.lists(point, min_size=1, max_size=8))
+                dispatcher.submit_tasks(session_id, [
+                    Task.at(next_id + i, x, y) for i, (x, y) in enumerate(points)
+                ])
+                tasks[session_id] += range(next_id, next_id + len(points))
+                next_id += len(points)
+            elif op == "expire":
+                session_id = data.draw(sessions)
+                dispatcher.expire_tasks(session_id, data.draw(
+                    st.lists(st.sampled_from(tasks[session_id]), max_size=4)
+                ))
+            elif op == "rebuild":
+                managed = dispatcher._sessions[data.draw(sessions)]
+                managed.candidates.engine.rebuild_index()
+            wx, wy = data.draw(point)
+            accuracy = data.draw(st.sampled_from([0.7, 0.9, 1.0]))
+            feed_checked(dispatcher, arrival(index, wx, wy, accuracy))
