@@ -10,20 +10,20 @@ workload from :mod:`repro.service.loadgen`:
 
 * **shard_sweep** — the same worker stream through shard plans of 1, 2, 4
   and 8 geo shards, under the ``serial`` executor (single-threaded: the
-  speedup is pure routing-work reduction), the ``thread`` executor (one
-  drain thread per shard on top) and the ``process`` executor (one worker
-  *process* per shard over shared-memory task snapshots — the only rows
-  that can escape the GIL, so on multi-core hosts they carry the scaling
-  story; on a single core the pipe/pickle hop makes them an honest
-  overhead measurement instead).  Every lossless run must produce
+  speedup is pure routing-work reduction) and the ``process`` executor
+  (one worker *process* per shard over shared-memory task snapshots —
+  the only rows that can escape the GIL, so on multi-core hosts they
+  carry the scaling story; on a single core the pipe/pickle hop makes
+  them an honest overhead measurement instead).  Every lossless run must produce
   per-session arrangements **byte-identical** to the single-process
   baseline (asserted via fingerprints); throughput, routed fraction and
   routing-latency p50/p99 land in the report.
 * **backpressure** — a burst-heavy stream through deliberately small
-  shard queues under the ``drop-oldest`` and ``reject`` policies,
-  reporting shed rates (byte-identity is forfeited by design here, and the
-  shed counts are thread-timing dependent, so this observational section
-  is excluded from the exactness fingerprint).
+  shard queues under the ``drop-oldest`` and ``reject`` policies, on the
+  asynchronous ``process`` executor, reporting shed rates (byte-identity
+  is forfeited by design here, and the shed counts depend on how fast
+  the worker processes keep up, so this observational section is
+  excluded from the exactness fingerprint).
 * **ttl** — the latency-vs-abandonment trade: the stream is cut at a
   deadline fraction, every still-open task is expired through the TTL
   sweep, and the report shows completion vs abandonment per deadline.
@@ -64,8 +64,8 @@ DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_dispatch_scale.json"
 #: Shard-count sweep: shard count -> (cols, rows) over the 4x2 city grid.
 SHARD_GRIDS: Dict[int, Tuple[int, int]] = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}
 
-#: Executors swept per shard count (all three keep byte-identity).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
+#: Executors swept per shard count (both keep byte-identity).
+EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
 
 def make_config(args) -> ReplayConfig:
@@ -262,7 +262,7 @@ def bench_backpressure(workload, queue_capacity: int) -> dict:
         dispatcher = ShardedDispatcher(
             plan,
             default_solver="AAM",
-            executor="thread",
+            executor="process",
             queue_capacity=queue_capacity,
             queue_policy=policy,
         )
@@ -378,7 +378,7 @@ def run_suite(args) -> SuiteResult:
         "seed": args.seed,
     }
     # The backpressure section is deliberately absent from the payload:
-    # shed counts under the thread executor depend on thread timing and
+    # shed counts under the process executor depend on process timing and
     # are not reproducible across machines.
     return SuiteResult(
         config=config,
@@ -421,9 +421,8 @@ SUITE = _common.register_suite(BenchSuite(
         "Sharded dispatch vs a single-process dispatcher on a seeded, "
         "replayable multi-city worker stream (diurnal + burst traffic). "
         "'shard_sweep' feeds the identical stream through 1/2/4/8 geo "
-        "shards under the serial executor (pure routing-work reduction), "
-        "the thread executor (plus per-shard drain threads) and the "
-        "process executor (one worker process per shard over "
+        "shards under the serial executor (pure routing-work reduction) "
+        "and the process executor (one worker process per shard over "
         "shared-memory task snapshots — the only rows that can escape "
         "the GIL); every lossless run is asserted byte-identical to the "
         "single-process baseline via per-session arrangement "

@@ -5,7 +5,7 @@ Chaos testing a concurrent system is only useful if the chaos is
 thread interleaving produces unreviewable flakes.  Every fault here is
 therefore keyed on a **per-shard processed-arrival ordinal** — "crash
 shard 2 on its 37th arrival" means the same thing under the serial and
-the thread executor, on a laptop and in CI, because each shard's queue
+the process executor, on a laptop and in CI, because each shard's queue
 is FIFO and its arrival sub-sequence is fixed by the router, not by
 scheduling.
 
@@ -18,10 +18,12 @@ Three fault kinds are supported (:data:`FAULT_KINDS`):
 * ``"transient"`` — the arrival's dispatch attempt raises
   :class:`TransientSolverError` for the first ``failures`` attempts and
   then succeeds, exercising the supervisor's bounded in-place retry.
-* ``"stall"`` — the shard stops consuming its queue once ``at_arrival``
-  arrivals have been processed, until :meth:`FaultInjector.release_stalls`
-  is called (or the runtime stops).  Backlog and backpressure become
-  observable without any sleeps.
+* ``"stall"`` — a serial shard stops consuming its queue once
+  ``at_arrival`` arrivals have been processed, until
+  :meth:`FaultInjector.release_stalls` is called (or the runtime stops).
+  Backlog and backpressure become observable without any sleeps; a
+  ``drain`` with a timeout reports the stalled backlog instead of
+  waiting on it.  The process executor rejects stall faults.
 
 A :class:`FaultPlan` is a frozen, validated schedule; build one by hand
 or with :meth:`FaultPlan.seeded`.  The plan compiles to a
@@ -202,13 +204,11 @@ class FaultInjector:
         }
         self._consumed: Set[Tuple[int, int]] = set()
         self._stalls: Dict[int, List[_StallState]] = {}
-        self._stall_released: Dict[int, threading.Event] = {}
         for spec in plan.faults:
             if spec.kind == "stall":
                 self._stalls.setdefault(spec.shard_id, []).append(
                     _StallState(after_arrivals=spec.at_arrival)
                 )
-                self._stall_released.setdefault(spec.shard_id, threading.Event())
 
     @property
     def plan(self) -> FaultPlan:
@@ -262,22 +262,8 @@ class FaultInjector:
                 for stall in self._stalls.get(shard_id, ())
             )
 
-    def wait_stall_release(
-        self, shard_id: int, processed: int, timeout: Optional[float] = None
-    ) -> bool:
-        """Block while a stall is active for ``shard_id`` (thread executor).
-
-        Returns ``True`` once no stall is active (possibly immediately),
-        ``False`` on timeout.
-        """
-        event = self._stall_released.get(shard_id)
-        while self.stall_active(shard_id, processed):
-            if event is None or not event.wait(timeout=timeout):
-                return False
-        return True
-
     def release_stalls(self, shard_id: Optional[int] = None) -> None:
-        """Release active stalls (all shards, or one); wakes blocked loops."""
+        """Release active stalls (all shards, or one)."""
         with self._lock:
             targets = (
                 self._stalls.keys() if shard_id is None else
@@ -286,4 +272,3 @@ class FaultInjector:
             for sid in list(targets):
                 for stall in self._stalls[sid]:
                     stall.released = True
-                self._stall_released[sid].set()

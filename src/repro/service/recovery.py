@@ -193,12 +193,12 @@ class ArrivalJournal:
         return list(self._entries)
 
     def check_replayable(self) -> None:
-        """Raise :class:`JournalReplayError` if :meth:`replay` would.
+        """Raise :class:`JournalReplayError` unless replay can be exact.
 
-        The parent-side pre-scan for cross-process replay: the
-        :data:`UNREPLAYABLE` sentinel loses its identity when pickled,
-        so unreplayable opens (and taint) must be detected *before* the
-        entries are shipped to a worker process.
+        Every replay checks first, so a failing one feeds its target
+        nothing.  For cross-process replay the check must happen
+        parent-side: the :data:`UNREPLAYABLE` sentinel loses its identity
+        when pickled.
         """
         if self._taint is not None:
             raise JournalReplayError(f"journal is not replayable: {self._taint}")
@@ -216,36 +216,37 @@ class ArrivalJournal:
         """Re-apply every entry, in order, to a fresh ``LTCDispatcher``.
 
         Returns the number of worker arrivals replayed.  Raises
-        :class:`JournalReplayError` if the journal is tainted or contains
-        an unreplayable session open; the target dispatcher may then be
-        partially populated and must be discarded.
+        :class:`JournalReplayError` before touching ``dispatcher`` if the
+        journal is tainted or contains an unreplayable session open.
         """
-        if self._taint is not None:
-            raise JournalReplayError(f"journal is not replayable: {self._taint}")
-        replayed = 0
-        for entry in self._entries:
-            kind = entry[0]
-            if kind == "worker":
-                dispatcher.feed_worker(entry[1])
-                replayed += 1
-            elif kind == "open":
-                _, session_id, instance, solver = entry
-                if solver is UNREPLAYABLE:
-                    raise JournalReplayError(
-                        f"session {session_id!r} was opened with a prebuilt "
-                        "Solver object, which cannot be rebuilt from a spec; "
-                        "journal replay is impossible for this shard"
-                    )
-                dispatcher.submit_instance(
-                    instance, solver=solver, session_id=session_id
-                )
-            elif kind == "tasks":
-                dispatcher.submit_tasks(entry[1], list(entry[2]))
-            elif kind == "expire":
-                dispatcher.expire_tasks(entry[1], list(entry[2]))
-            else:  # close
-                dispatcher.close(entry[1])
-        return replayed
+        self.check_replayable()
+        return replay_entries(self._entries, dispatcher)
+
+
+def replay_entries(entries: Sequence[tuple], dispatcher) -> int:
+    """Apply replayable journal ``entries``, in order, to ``dispatcher``.
+
+    Returns the number of worker arrivals applied.  The caller has
+    checked replayability (:meth:`ArrivalJournal.check_replayable`).
+    """
+    replayed = 0
+    for entry in entries:
+        kind = entry[0]
+        if kind == "worker":
+            dispatcher.feed_worker(entry[1])
+            replayed += 1
+        elif kind == "open":
+            _, session_id, instance, solver = entry
+            dispatcher.submit_instance(
+                instance, solver=solver, session_id=session_id
+            )
+        elif kind == "tasks":
+            dispatcher.submit_tasks(entry[1], list(entry[2]))
+        elif kind == "expire":
+            dispatcher.expire_tasks(entry[1], list(entry[2]))
+        else:  # close
+            dispatcher.close(entry[1])
+    return replayed
 
 
 class ShardSupervisor:

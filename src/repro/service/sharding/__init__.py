@@ -9,8 +9,8 @@ its tasks, so campaigns and worker traffic partition cleanly by region:
 * :class:`BoundedArrivalQueue` is the bounded, backpressure-aware buffer
   between the router and each shard's dispatch loop;
 * :class:`ShardedDispatcher` runs one
-  :class:`~repro.service.LTCDispatcher` per shard — serially, on one
-  thread per shard, or in one worker process per shard
+  :class:`~repro.service.LTCDispatcher` per shard — serially or in one
+  worker process per shard
   (:mod:`repro.service.sharding.process_executor`, with task snapshots
   crossing the boundary as shared memory —
   :mod:`repro.service.sharding.shm`) — while keeping per-session

@@ -10,10 +10,9 @@ worker traffic with a :class:`~repro.service.sharding.ShardPlan`:
   location, plus the overflow shard whenever it has open sessions;
 * each shard runs its own :class:`~repro.service.LTCDispatcher` behind a
   :class:`~repro.service.sharding.BoundedArrivalQueue`, drained either
-  inline (the ``"serial"`` executor — deterministic, single-threaded),
-  by a dedicated thread per shard (the ``"thread"`` executor), or by a
-  dedicated **worker process** per shard (the ``"process"`` executor —
-  GIL-free routing; see
+  inline (the ``"serial"`` executor — deterministic, single-threaded) or
+  by a dedicated **worker process** per shard (the ``"process"``
+  executor — GIL-free routing; see
   :mod:`repro.service.sharding.process_executor`).
 
 **Exactness.**  Because an eligible worker necessarily lies inside the
@@ -27,24 +26,25 @@ byte-identical to a single-process run, under both executors; the
 differential suite enforces this.  Shedding policies (``drop-oldest`` /
 ``reject``) trade that guarantee for bounded lag under overload.
 
-**Scaling.**  The single-process dispatcher pays one eligibility probe per
-open session per arrival.  Sharding cuts that to the sessions of one shard
-(plus overflow), so routing work per arrival drops by roughly the shard
-count even single-threaded — that is the honest speedup the benchmark
-measures with the ``"serial"`` executor; the ``"thread"`` executor adds
-pipeline concurrency across shards on top.
+**Scaling.**  The single-process dispatcher already skips sessions whose
+tasks are out of an arrival's reach, so serial sharding saves little
+routing work; sharding pays only through the parallelism of the
+``"process"`` executor (``docs/dispatch.md``, "What sharding buys").
 
 **Fault tolerance.**  A shard failure (any exception escaping its
 dispatch attempt, including injected ones — see
 :mod:`repro.service.faults`) is resolved by the configured
 :class:`~repro.service.recovery.RecoveryPolicy`:
 
-* ``"fail-fast"`` (the default) parks the error (surfaced at the next
-  :meth:`drain` / :meth:`stop`), marks the shard *failed*, flushes its
+* ``"fail-fast"`` (the default) raises the error (from the serial
+  :meth:`feed_worker` call that hit it; a process shard parks it for the
+  next :meth:`drain` / :meth:`stop`), marks the shard *failed*, flushes its
   queue, and discards subsequent arrivals routed to it — every lost
   arrival is counted (:attr:`ShardStatus.arrivals_discarded`);
 * ``"restart"`` rebuilds the shard's dispatcher by replaying its
-  :class:`~repro.service.recovery.ArrivalJournal` — byte-identical by
+  :class:`~repro.service.recovery.ArrivalJournal` (a dead worker process
+  replays the prefix it consumed; the arrivals piped to it but never
+  processed are re-sent live) — byte-identical by
   the same FIFO argument as above, so a lossless run *with mid-stream
   crashes* still matches the single-process oracle (the chaos
   differential suite enforces this) — subject to a per-shard restart
@@ -53,7 +53,10 @@ dispatch attempt, including injected ones — see
   migrates them to the overflow shard; the geo shard stops serving and
   its subsequent traffic is discarded (counted).
 
-Journals are kept exactly when the policy can need a replay, so
+Both executors resolve a failure through the same decide loop and the
+same quarantine routine; the only executor-specific steps are rebuilding
+a shard from its journal and adopting journal entries into the overflow
+shard.  Journals are kept exactly when the policy can need a replay, so
 ``fail-fast`` pays zero journaling overhead
 (``benchmarks/bench_resilience.py`` prices the rest).
 """
@@ -87,6 +90,7 @@ from repro.service.recovery import (
     RecoveryEvent,
     RecoveryPolicy,
     ShardSupervisor,
+    replay_entries,
 )
 from repro.service.sharding.plan import ShardPlan, tasks_reach_bounds
 from repro.service.sharding.process_executor import (
@@ -99,7 +103,7 @@ from repro.service.sharding.process_executor import (
 from repro.service.sharding.queueing import BoundedArrivalQueue
 
 #: The accepted executor names.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: Shard lifecycle states, in the order a shard can move through them.
 SHARD_STATES: Tuple[str, ...] = ("live", "recovering", "quarantined", "failed")
@@ -145,7 +149,7 @@ class ShardStatus:
 
 @dataclass
 class _ShardRuntime:
-    """One shard's dispatcher, queue, lock and (optional) drain thread."""
+    """One shard's dispatcher, queue, lock and (process executor) pump thread."""
 
     shard_id: int
     #: The in-process dispatcher — or, under the ``"process"`` executor, a
@@ -153,13 +157,13 @@ class _ShardRuntime:
     #: duck-typing the same surface over a worker process.
     dispatcher: Union[LTCDispatcher, ProcessShardClient]
     queue: BoundedArrivalQueue
-    #: Serialises dispatcher access between the drain loop and control-plane
-    #: calls (submit/poll/close) arriving from other threads.
+    #: Serialises dispatcher access between the dispatch path and
+    #: control-plane calls (submit/poll/close) arriving from other threads.
     lock: threading.Lock = field(default_factory=threading.Lock)
     thread: Optional[threading.Thread] = None
     #: Condition over ``lock``; the process pump waits on it while the
-    #: shard is ``"recovering"`` (``None`` for serial/thread shards).
-    cond: Optional[threading.Condition] = None
+    #: shard is ``"recovering"``.
+    cond: threading.Condition = field(init=False)
     #: Per-arrival routing latencies (seconds), recorded when enabled.
     latencies: List[float] = field(default_factory=list)
     error: Optional[BaseException] = None
@@ -169,6 +173,9 @@ class _ShardRuntime:
     journal: Optional[ArrivalJournal] = None
     #: Arrivals lost to the failure path; guarded by ``lock``.
     discarded: int = 0
+
+    def __post_init__(self) -> None:
+        self.cond = threading.Condition(self.lock)
 
 
 class ShardedDispatcher:
@@ -187,12 +194,11 @@ class ShardedDispatcher:
     executor:
         ``"serial"`` processes each arrival inline during
         :meth:`feed_worker` (deterministic; the exact-merge configuration),
-        ``"thread"`` drains each shard's queue on its own thread,
         ``"process"`` runs each shard's dispatcher in a worker process
         fed over a pipe (same FIFO contract, GIL-free; task snapshots
         cross as shared memory — :mod:`repro.service.sharding.shm`).
         When worker processes are unavailable on the platform,
-        ``"process"`` degrades to ``"thread"`` with a
+        ``"process"`` degrades to ``"serial"`` with a
         :class:`RuntimeWarning`.  Process shards cannot host prebuilt
         :class:`~repro.algorithms.base.Solver` objects or ``"stall"``
         faults, and an injected ``clock`` does not reach the workers.
@@ -245,11 +251,11 @@ class ShardedDispatcher:
             warnings.warn(
                 "the process executor is unavailable on this platform "
                 "(no usable multiprocessing context); degrading to the "
-                "thread executor",
+                "serial executor",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            executor = "thread"
+            executor = "serial"
         self._plan = plan
         self._executor = executor
         self._clock: Callable[[], float] = (
@@ -282,9 +288,9 @@ class ShardedDispatcher:
             ):
                 raise ValueError(
                     "stall faults are not supported under the process "
-                    "executor (the stall gate lives in the parent's drain "
-                    "loops); use crash/transient faults, or the "
-                    "serial/thread executor"
+                    "executor (the stall gate lives in the serial drain "
+                    "loop); use crash/transient faults, or the serial "
+                    "executor"
                 )
         self._shards: Dict[int, _ShardRuntime] = {
             shard_id: _ShardRuntime(
@@ -299,9 +305,6 @@ class ShardedDispatcher:
             )
             for shard_id in plan.shard_ids
         }
-        if self._executor == "process":
-            for runtime in self._shards.values():
-                runtime.cond = threading.Condition(runtime.lock)
         self._shard_of_session: Dict[str, int] = {}
         self._auto_id = 0
         self._arrivals_offered = 0
@@ -338,34 +341,26 @@ class ShardedDispatcher:
     def start(self) -> None:
         """Start processing queued arrivals (idempotent).
 
-        Under the ``"thread"`` executor this launches one drain thread per
-        shard; under ``"process"`` one *pump* thread per shard, feeding
-        the shard's worker process over its pipe; under ``"serial"`` it
-        drains any pre-queued backlog inline and marks the runtime live
-        (subsequent :meth:`feed_worker` calls process inline).
+        Under the ``"process"`` executor this launches one *pump* thread
+        per shard, feeding the shard's worker process over its pipe; under
+        ``"serial"`` it drains any pre-queued backlog inline and marks the
+        runtime live (subsequent :meth:`feed_worker` calls process inline).
         """
         if self._stopped:
             raise RuntimeError("a stopped ShardedDispatcher cannot be restarted")
         if self._started:
             return
         self._started = True
-        if self._executor in ("thread", "process"):
-            target = (
-                self._drain_loop
-                if self._executor == "thread"
-                else self._process_pump
-            )
-            for runtime in self._shards.values():
-                thread = threading.Thread(
-                    target=target,
+        for runtime in self._shards.values():
+            if self._executor == "process":
+                runtime.thread = threading.Thread(
+                    target=self._process_pump,
                     args=(runtime,),
                     name=f"shard-{runtime.shard_id}",
                     daemon=True,
                 )
-                runtime.thread = thread
-                thread.start()
-        else:
-            for runtime in self._shards.values():
+                runtime.thread.start()
+            else:
                 self._drain_inline(runtime)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -395,9 +390,9 @@ class ShardedDispatcher:
         return drained
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the runtime: optionally drain, close queues, join threads.
+        """Stop the runtime: optionally drain, close queues, join pumps.
 
-        Idempotent and exception-safe: queues are closed and drain threads
+        Idempotent and exception-safe: queues are closed and pump threads
         joined even when draining re-raises a parked shard error, so the
         runtime never stays half-alive.  Active fault-injection stalls are
         released first (a stalled shard could never drain).  After
@@ -415,11 +410,10 @@ class ShardedDispatcher:
             self._stopped = True
             for runtime in self._shards.values():
                 runtime.queue.close()
-            if self._executor in ("thread", "process") and self._started:
+            if self._executor == "process":
                 for runtime in self._shards.values():
                     if runtime.thread is not None:
                         runtime.thread.join()
-            if self._executor == "process":
                 # No further traffic: worker processes shut down as soon
                 # as their last session closes (immediately, if none are
                 # open) — so ``stop()`` → ``close_all()`` and
@@ -589,7 +583,7 @@ class ShardedDispatcher:
         like :meth:`LTCDispatcher.feed_worker` (deliveries triggered by a
         crash-recovery replay are an exception: they surface via
         :meth:`poll` / :meth:`close`, not the return value).  Under
-        ``"thread"`` — or before :meth:`start` — the arrival is only
+        ``"process"`` — or before :meth:`start` — the arrival is only
         enqueued and ``None`` is returned.  Arrivals routed to a
         quarantined or failed shard are discarded and counted
         (:attr:`ShardStatus.arrivals_discarded`).
@@ -622,7 +616,7 @@ class ShardedDispatcher:
         """Feed a whole merged stream; return how many arrivals were offered.
 
         Early stop on ``all_complete`` is off by default: under the
-        threaded executor completion lags the queues, so checking it
+        process executor completion lags the queues, so checking it
         per-arrival is racy; enable it only for serial runs that mirror
         :meth:`LTCDispatcher.feed_stream` semantics.
         """
@@ -900,33 +894,7 @@ class ShardedDispatcher:
             try:
                 deliveries.update(self._process(runtime, worker))
             except BaseException as exc:  # noqa: BLE001 - resolved by policy
-                self._handle_shard_failure(runtime, exc)
-            finally:
-                runtime.queue.task_done()
-
-    def _drain_loop(self, runtime: _ShardRuntime) -> None:
-        """The per-shard thread body: drain until the queue closes."""
-        while True:
-            if self._injector is not None:
-                self._injector.wait_stall_release(
-                    runtime.shard_id, runtime.queue.processed
-                )
-            worker = runtime.queue.get()
-            if worker is None:
-                return
-            if runtime.state in _INACTIVE_STATES:
-                with runtime.lock:
-                    runtime.discarded += 1
-                runtime.queue.task_done()
-                continue
-            try:
-                self._process(runtime, worker)
-            except BaseException as exc:  # noqa: BLE001 - resolved by policy
-                try:
-                    self._handle_shard_failure(runtime, exc)
-                except BaseException as failure:  # noqa: BLE001 - parked
-                    if runtime.error is None:
-                        runtime.error = failure
+                self._resolve_failure(runtime, exc)
             finally:
                 runtime.queue.task_done()
 
@@ -941,7 +909,7 @@ class ShardedDispatcher:
         owned by the worker/death flow from the moment it is recorded —
         it is acked by a worker (possibly after a restart re-sends it),
         or credited as part of the terminal suffix by
-        :meth:`_handle_process_failure`.  Journal appends and pipe sends
+        :meth:`_resolve_failure`.  Journal appends and pipe sends
         share the runtime lock, so journal order equals pipe order
         equals the worker's apply order.
         """
@@ -976,14 +944,66 @@ class ShardedDispatcher:
 
     # ------------------------------------------------------------- recovery
 
-    def _handle_shard_failure(
-        self, runtime: _ShardRuntime, error: BaseException
+    def _on_process_failure(
+        self,
+        shard_id: int,
+        channel: ShardProcessChannel,
+        error: BaseException,
+    ) -> None:
+        """A shard's worker process died (runs on its receiver thread).
+
+        Fixes the death's position in the arrival stream first: the
+        *cut* is the absolute ordinal the dead incarnation consumed
+        through (reported in its failure frame, or reconstructed from
+        acks after a hard kill).  Then the failure resolves exactly like
+        an in-process crash; a terminal failure parks on the runtime for
+        the next drain()/stop().  The queue credits settled here — the
+        arrival the worker died on (journaled, part of the replay prefix,
+        never acked), or without a journal every unacked arrival — are
+        credited only after that, so a drain() that sees them also sees
+        the resolution and any parked error.
+        """
+        runtime = self._shards[shard_id]
+        framed = channel.consumed_ordinal is not None
+        if runtime.journal is not None:
+            cut = runtime.dispatcher.death_ordinal(channel)
+            credits = 1 if framed else 0
+        else:
+            # No journal: nothing can be replayed or re-sent, so every
+            # arrival shipped down the dead pipe is settled here (the one
+            # the worker died on was consumed; the rest are lost).
+            cut = None
+            credits = channel.take_unacked()
+            with runtime.lock:
+                runtime.discarded += credits - (1 if framed else 0)
+        try:
+            self._resolve_failure(runtime, error, cut)
+        except BaseException as failure:  # noqa: BLE001 - parked
+            if runtime.error is None:
+                runtime.error = failure
+        finally:
+            for _ in range(credits):
+                runtime.queue.task_done()
+
+    def _resolve_failure(
+        self,
+        runtime: _ShardRuntime,
+        error: BaseException,
+        cut: Optional[int] = None,
     ) -> None:
         """Resolve one shard failure per the recovery policy.
 
+        ``cut`` is how many journaled arrivals the dead shard consumed;
+        ``None`` means all of them, which always holds in-process (an
+        arrival is journaled just before its dispatch attempt).  Only a
+        dead worker process leaves a journaled *suffix* behind the cut —
+        arrivals piped to it but never processed.  A restart re-sends
+        that suffix live; a quarantine or a terminal failure discards it
+        with the queue backlog.
+
         Returns normally when the shard was recovered (restarted or
         quarantined); raises the terminal error when the shard fails for
-        good (the serial caller propagates it, the thread loop parks it).
+        good (the serial caller propagates it, a process shard parks it).
         """
         current = error
         while True:
@@ -999,60 +1019,64 @@ class ShardedDispatcher:
                 self._supervisor.backoff(runtime.shard_id)
                 with runtime.lock:
                     runtime.state = "recovering"
-                    fresh = self._make_dispatcher()
                     try:
-                        replayed = runtime.journal.replay(fresh)
+                        replayed = self._rebuild(runtime, cut)
                     except BaseException as exc:  # noqa: BLE001 - escalates
                         runtime.state = "failed"
+                        runtime.cond.notify_all()
                         current = exc
                         continue
-                    # The dead dispatcher's counters are replaced, not
-                    # added to: the replay regenerated them exactly.
-                    runtime.dispatcher = fresh
                     runtime.state = "live"
+                    runtime.cond.notify_all()
                 with self._control:
                     self._fault_metrics.restarts += 1
-                    self._fault_metrics.replayed_arrivals += replayed
-                    self._recovery_events.append(
-                        RecoveryEvent(
-                            shard_id=runtime.shard_id,
-                            action="restart",
-                            replayed_arrivals=replayed,
-                            duration_seconds=self._clock() - started,
-                            error=repr(current),
-                        )
+                    self._note_recovery(
+                        runtime, "restart", replayed, started, current
                     )
                 return
             if action == "quarantine" and runtime.journal is not None:
                 try:
-                    self._quarantine(runtime, current)
+                    self._quarantine(runtime, current, cut)
                     return
                 except BaseException as exc:  # noqa: BLE001 - falls to fail
                     current = exc
             with runtime.lock:
                 runtime.state = "failed"
-                runtime.discarded += runtime.queue.flush()
+                self._discard_backlog(runtime, cut)
+                runtime.cond.notify_all()
             raise current
 
-    def _quarantine(self, runtime: _ShardRuntime, error: BaseException) -> None:
-        """Rebuild a failed shard's sessions and migrate them to overflow."""
+    def _quarantine(
+        self,
+        runtime: _ShardRuntime,
+        error: BaseException,
+        cut: Optional[int],
+    ) -> None:
+        """Rebuild a failed shard's sessions and migrate them to overflow.
+
+        The journal prefix up to ``cut`` is adopted by the overflow shard
+        (:meth:`_adopt`); what the shard never processed — the suffix
+        behind the cut and the queue backlog — is discarded and counted.
+        The dead shard keeps an empty in-process husk, so
+        poll()/metrics/status stay uniform without double-reporting the
+        migrated sessions.
+        """
         started = self._clock()
         overflow = self._shards[self._plan.overflow_shard]
         with runtime.lock:
             runtime.state = "quarantined"
-            scratch = self._make_dispatcher()
-            replayed = runtime.journal.replay(scratch)
-            migrated = scratch.session_ids
-            # Discard the dead dispatcher (and its journal) wholesale: the
-            # shard's history now lives in `scratch`, about to move to
-            # overflow; an empty husk keeps poll()/metrics from
-            # double-reporting the migrated sessions.
+            runtime.cond.notify_all()
+            runtime.journal.check_replayable()
+            replayed = runtime.journal.worker_count if cut is None else cut
+            prefix, _ = split_journal_entries(runtime.journal.entries(), replayed)
+            self._discard_backlog(runtime, cut)
+            if isinstance(runtime.dispatcher, ProcessShardClient):
+                runtime.dispatcher.retire()
             runtime.dispatcher = self._make_dispatcher()
             runtime.journal = ArrivalJournal()
-            runtime.discarded += runtime.queue.flush()
         with self._migrated:  # acquires the control lock
             with overflow.lock:
-                overflow.dispatcher.adopt_sessions(scratch)
+                migrated = self._adopt(overflow, prefix)
                 if overflow.journal is not None:
                     # The adopted sessions' history is not in overflow's
                     # journal, so a later overflow replay cannot be exact.
@@ -1063,197 +1087,70 @@ class ShardedDispatcher:
             for session_id in migrated:
                 self._shard_of_session[session_id] = overflow.shard_id
             self._fault_metrics.quarantined_sessions += len(migrated)
-            self._fault_metrics.replayed_arrivals += replayed
-            self._recovery_events.append(
-                RecoveryEvent(
-                    shard_id=runtime.shard_id,
-                    action="quarantine",
-                    replayed_arrivals=replayed,
-                    duration_seconds=self._clock() - started,
-                    error=repr(error),
-                )
-            )
+            self._note_recovery(runtime, "quarantine", replayed, started, error)
             self._migrated.notify_all()
 
-    # ---------------------------------------------------- process recovery
+    def _rebuild(self, runtime: _ShardRuntime, cut: Optional[int]) -> int:
+        """Rebuild a dead shard from its journal prefix up to ``cut``.
 
-    def _on_process_failure(
-        self,
-        shard_id: int,
-        channel: ShardProcessChannel,
-        error: BaseException,
-    ) -> None:
-        """A shard's worker process died (runs on its receiver thread).
-
-        Fixes the death's position in the arrival stream first: the
-        *cut* is the absolute ordinal the dead incarnation consumed
-        through (reported in its failure frame, or reconstructed from
-        acks after a hard kill).  Recovery replays the journal up to the
-        cut and re-sends the rest live, so the only queue credit issued
-        here is for the arrival the worker died on — journaled, part of
-        the replay prefix, never acked.  Then the failure resolves
-        exactly like a thread-shard crash; a terminal failure parks on
-        the runtime for the next drain()/stop().
+        Called under the shard's lock; returns the arrivals replayed.  A
+        worker process is respawned, the prefix replayed down its pipe
+        and the suffix re-sent live.  An in-process dispatcher is
+        replaced by a fresh one the whole journal replays into — the dead
+        one's counters are replaced, not added to, since the replay
+        regenerates them exactly.
         """
-        runtime = self._shards[shard_id]
-        framed = channel.consumed_ordinal is not None
-        if runtime.journal is not None:
-            cut = runtime.dispatcher.death_ordinal(channel)
-            if framed:
-                runtime.queue.task_done()
-        else:
-            # No journal: nothing can be replayed or re-sent, so every
-            # arrival shipped down the dead pipe is settled here (the one
-            # the worker died on was consumed; the rest are lost).
-            cut = None
-            unacked = channel.take_unacked()
-            with runtime.lock:
-                runtime.discarded += unacked - (1 if framed else 0)
-            for _ in range(unacked):
-                runtime.queue.task_done()
-        try:
-            self._handle_process_failure(runtime, error, cut)
-        except BaseException as failure:  # noqa: BLE001 - parked
-            if runtime.error is None:
-                runtime.error = failure
-
-    def _handle_process_failure(
-        self,
-        runtime: _ShardRuntime,
-        error: BaseException,
-        cut: Optional[int],
-    ) -> None:
-        """:meth:`_handle_shard_failure`, for a dead worker process.
-
-        Same decide-loop and accounting; the difference is mechanical —
-        "replay the journal into a fresh dispatcher" becomes "spawn a
-        fresh worker process, replay the journal up to the death's
-        ``cut`` down its pipe, and re-send the never-processed suffix
-        live" — and the pump is parked on the shard's condition while
-        the state is ``"recovering"``.  When the shard fails terminally
-        instead, the suffix arrivals are settled here: they can no
-        longer be delivered, so they are discarded and their queue
-        credits issued.
-        """
-        current = error
-        while True:
-            action = self._supervisor.decide(runtime.shard_id, current)
-            if (
-                action == "quarantine"
-                and runtime.shard_id == self._plan.overflow_shard
-            ):
-                action = "fail"
-            if action == "restart" and runtime.journal is not None:
-                started = self._clock()
-                self._supervisor.backoff(runtime.shard_id)
-                with runtime.lock:
-                    runtime.state = "recovering"
-                    try:
-                        runtime.journal.check_replayable()
-                        replayed = runtime.dispatcher.respawn(
-                            runtime.journal.entries(), cut
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - escalates
-                        runtime.state = "failed"
-                        runtime.cond.notify_all()
-                        current = exc
-                        continue
-                    runtime.state = "live"
-                    runtime.cond.notify_all()
-                with self._control:
-                    self._fault_metrics.restarts += 1
-                    self._fault_metrics.replayed_arrivals += replayed
-                    self._recovery_events.append(
-                        RecoveryEvent(
-                            shard_id=runtime.shard_id,
-                            action="restart",
-                            replayed_arrivals=replayed,
-                            duration_seconds=self._clock() - started,
-                            error=repr(current),
-                        )
-                    )
-                return
-            if action == "quarantine" and runtime.journal is not None:
-                try:
-                    self._quarantine_process(runtime, current, cut)
-                    return
-                except BaseException as exc:  # noqa: BLE001 - falls to fail
-                    current = exc
-            with runtime.lock:
-                runtime.state = "failed"
-                suffix = 0
-                if runtime.journal is not None and cut is not None:
-                    suffix = runtime.journal.worker_count - cut
-                for _ in range(suffix):
-                    runtime.queue.task_done()
-                runtime.discarded += suffix + runtime.queue.flush()
-                if runtime.cond is not None:
-                    runtime.cond.notify_all()
-            raise current
-
-    def _quarantine_process(
-        self,
-        runtime: _ShardRuntime,
-        error: BaseException,
-        cut: Optional[int],
-    ) -> None:
-        """:meth:`_quarantine`, for a dead worker process.
-
-        The rebuild-by-replay happens inside the *overflow* shard's
-        worker (the ``("adopt", ...)`` message): a scratch dispatcher is
-        replayed there and its sessions adopted, so the migrated state
-        never transits the parent as live objects.  The dead shard keeps
-        an empty in-process husk so poll()/metrics/status stay uniform.
-
-        Only the journal prefix up to the death's ``cut`` is adopted —
-        the suffix arrivals were in the pipe, never processed, which is
-        the thread executor's "still in the dead shard's queue" case:
-        they are discarded (and counted), exactly as the queue flush
-        discards the backlog there.
-        """
-        started = self._clock()
-        overflow = self._shards[self._plan.overflow_shard]
-        with runtime.lock:
-            runtime.state = "quarantined"
-            runtime.cond.notify_all()
+        if isinstance(runtime.dispatcher, ProcessShardClient):
             runtime.journal.check_replayable()
-            replayed = (
-                runtime.journal.worker_count if cut is None else cut
+            return runtime.dispatcher.respawn(runtime.journal.entries(), cut)
+        fresh = self._make_dispatcher()
+        replayed = runtime.journal.replay(fresh)
+        runtime.dispatcher = fresh
+        return replayed
+
+    def _adopt(self, overflow: _ShardRuntime, entries: List[tuple]) -> List[str]:
+        """Replay journal ``entries`` into the overflow shard's sessions.
+
+        Returns the adopted session ids.  A process overflow shard replays
+        them inside its worker, so the migrated state never transits the
+        parent as live objects.
+        """
+        if isinstance(overflow.dispatcher, ProcessShardClient):
+            return overflow.dispatcher.adopt_entries(entries)
+        scratch = self._make_dispatcher()
+        replay_entries(entries, scratch)
+        return overflow.dispatcher.adopt_sessions(scratch)
+
+    @staticmethod
+    def _discard_backlog(runtime: _ShardRuntime, cut: Optional[int]) -> None:
+        """Count a dead shard's undeliverable arrivals (under its lock).
+
+        The journaled suffix behind ``cut`` already left the queue, so
+        it is credited back to the queue here; the backlog is flushed.
+        """
+        suffix = 0
+        if runtime.journal is not None and cut is not None:
+            suffix = runtime.journal.worker_count - cut
+        for _ in range(suffix):
+            runtime.queue.task_done()
+        runtime.discarded += suffix + runtime.queue.flush()
+
+    def _note_recovery(
+        self,
+        runtime: _ShardRuntime,
+        action: str,
+        replayed: int,
+        started: float,
+        error: BaseException,
+    ) -> None:
+        """Record one completed recovery (call with the control lock held)."""
+        self._fault_metrics.replayed_arrivals += replayed
+        self._recovery_events.append(
+            RecoveryEvent(
+                shard_id=runtime.shard_id,
+                action=action,
+                replayed_arrivals=replayed,
+                duration_seconds=self._clock() - started,
+                error=repr(error),
             )
-            entries, resend = split_journal_entries(
-                runtime.journal.entries(), replayed
-            )
-            for _ in range(len(resend)):
-                runtime.queue.task_done()
-            runtime.discarded += len(resend)
-            client = runtime.dispatcher
-            instances = {
-                session_id: client.instance_of(session_id)
-                for session_id in client.session_ids
-            }
-            client.retire()
-            runtime.dispatcher = self._make_dispatcher()
-            runtime.journal = ArrivalJournal()
-            runtime.discarded += runtime.queue.flush()
-        with self._migrated:  # acquires the control lock
-            with overflow.lock:
-                adopted = overflow.dispatcher.adopt_entries(entries, instances)
-                if overflow.journal is not None:
-                    overflow.journal.mark_unreplayable(
-                        f"adopted {len(adopted)} session(s) from "
-                        f"quarantined shard {runtime.shard_id}"
-                    )
-            for session_id in adopted:
-                self._shard_of_session[session_id] = overflow.shard_id
-            self._fault_metrics.quarantined_sessions += len(adopted)
-            self._fault_metrics.replayed_arrivals += replayed
-            self._recovery_events.append(
-                RecoveryEvent(
-                    shard_id=runtime.shard_id,
-                    action="quarantine",
-                    replayed_arrivals=replayed,
-                    duration_seconds=self._clock() - started,
-                    error=repr(error),
-                )
-            )
-            self._migrated.notify_all()
+        )

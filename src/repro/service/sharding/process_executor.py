@@ -1,7 +1,7 @@
 """Worker-process shards: the ``"process"`` executor's plumbing.
 
-Thread shards share the GIL, so pure-python routing tops out well short
-of the shard count.  This module runs each shard's
+In-process shards share the GIL, so pure-python routing tops out well
+short of the shard count.  This module runs each shard's
 :class:`~repro.service.LTCDispatcher` in a **worker process** instead:
 
 * :func:`shard_worker_main` is the child entry point — it owns the
@@ -27,7 +27,7 @@ transient, injected crash, any bug) sends a final ``("failed", pickled
 exception, repr, traceback)`` frame and exits — injected crashes with
 :data:`INJECTED_CRASH_EXIT` so tests can tell them from organic deaths.
 The parent rebuilds the original exception when it unpickles (so
-supervisor ``last_error`` bookkeeping matches the thread executor) and
+supervisor ``last_error`` bookkeeping matches the serial executor) and
 always attaches the worker-side traceback string as
 ``worker_traceback``.  A death with no final frame (hard kill) surfaces
 as :class:`ShardProcessDied` with the exit code.  Either way the
@@ -44,14 +44,14 @@ journal's worker-entry index).  A worker death reports the ordinal it
 died on; recovery then *splits the journal at that cut*: the prefix —
 exactly the arrivals the dead incarnation consumed — is replayed into
 the fresh process with the ordinal counter advancing but the fault
-schedule bypassed (the thread executor's "replayed arrivals bypass the
-injector" rule, so a consumed ordinal can never re-fire), while the
-suffix — arrivals that were in the pipe but never processed — is
-**re-sent live** and fault-checked normally.  That is precisely the
-thread executor's split (its replay covers what the dead dispatcher
-consumed; everything behind it is still in the queue), so the same
-seeded plan fires every fault exactly once, at identical stream
-positions, under every executor.
+schedule bypassed (journal replay never passes through the injector, so
+a consumed ordinal can never re-fire), while the suffix — arrivals that
+were in the pipe but never processed — is **re-sent live** and
+fault-checked normally.  An in-process shard's journal ends exactly at
+what its dispatcher consumed, so its suffix is always empty; the split
+makes a process shard replay the same prefix, and the same seeded plan
+fires every fault exactly once, at identical stream positions, under
+both executors.
 """
 
 from __future__ import annotations
@@ -656,7 +656,7 @@ def _rebuild_exception(
     """Reconstruct a worker-side exception; always attach the traceback.
 
     Unpickling the original instance keeps the supervisor's
-    ``last_error`` (``repr`` of the error) identical to what the thread
+    ``last_error`` (``repr`` of the error) identical to what the serial
     executor would record for the same fault; unpicklable exceptions
     degrade to :class:`ShardProcessError` carrying the repr.
     """
@@ -795,7 +795,7 @@ class ProcessShardClient:
             raise ValueError(
                 "prebuilt Solver objects cannot cross the process boundary "
                 "(their mutable state is not replayable); pass a solver "
-                "spec, or use the serial/thread executor"
+                "spec, or use the serial executor"
             )
         payload, block = export_instance(instance)
         try:
@@ -947,12 +947,11 @@ class ProcessShardClient:
                 break
         return self._replay_base
 
-    def adopt_entries(
-        self,
-        entries: Sequence[tuple],
-        instances: Dict[str, LTCInstance],
-    ) -> List[str]:
+    def adopt_entries(self, entries: Sequence[tuple]) -> List[str]:
         """Adopt a quarantined shard's sessions (rebuilt by replay)."""
+        instances = {
+            entry[1]: entry[2] for entry in entries if entry[0] == "open"
+        }
         wire, blocks = build_wire_entries(entries)
         try:
             adopted = self._request(("adopt", wire))

@@ -43,7 +43,7 @@ class TestParse:
             "AAM",
             "MCF-LTC?batch_multiplier=2.0",
             "Random?seed=7&skip_completed=true",
-            "MCF-LTC?batch_multiplier=0.5&index_tiebreak=false&use_spatial_index=true",
+            "MCF-LTC?backend=python&batch_multiplier=0.5&use_spatial_index=false",
         ):
             spec = SolverSpec.parse(text)
             assert SolverSpec.parse(str(spec)) == spec
@@ -78,8 +78,8 @@ class TestCoerce:
 
     def test_with_params_merges(self):
         spec = SolverSpec.parse("MCF-LTC?batch_multiplier=1.0")
-        updated = spec.with_params(batch_multiplier=2.0, index_tiebreak=False)
-        assert updated.params == {"batch_multiplier": 2.0, "index_tiebreak": False}
+        updated = spec.with_params(batch_multiplier=2.0, use_spatial_index=False)
+        assert updated.params == {"batch_multiplier": 2.0, "use_spatial_index": False}
         # the original spec is unchanged (specs are immutable values)
         assert spec.params == {"batch_multiplier": 1.0}
 

@@ -8,7 +8,7 @@ sharded run with **seeded mid-stream shard crashes** under
 ``on_shard_failure="restart"`` must still produce per-session
 arrangements identical, assignment by assignment, to a fault-free
 single-process run.  This suite enforces exactly that, across AAM/LAF ×
-serial/thread/process executors, under whichever candidate backend
+serial/process executors, under whichever candidate backend
 ``REPRO_CANDIDATES_BACKEND`` selects (the CI backend matrix runs both).
 
 Faults are scheduled on per-shard arrival ordinals
@@ -107,7 +107,7 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_restart_recovery_matches_fault_free_single_process(
     workload, solver, executor
 ):
@@ -128,7 +128,7 @@ def test_restart_recovery_matches_fault_free_single_process(
     assert dispatcher.discarded_total == 0
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_transient_faults_retry_in_place_exactly(workload, executor):
     """Bounded retry absorbs transients without touching the arrangements."""
     faults = FaultPlan.seeded(
@@ -204,38 +204,38 @@ def test_serial_quarantine_matches_fault_free_single_process(workload):
     assert [event.action for event in events] == ["quarantine"]
 
 
-def test_process_crash_kills_the_worker_and_accounting_matches_thread(workload):
+def test_process_crash_kills_the_worker_and_accounting_matches_serial(workload):
     """A process-executor crash is a real process death, same books.
 
     The injected crash fires inside the worker process and hard-exits it;
     the supervisor must record the same ``last_error`` repr and restart
-    counts as the thread executor resolving the identical fault plan, and
+    counts as the serial executor resolving the identical fault plan, and
     every recovery event must be a restart of a crashed geo shard.
     """
     policy = RecoveryPolicy(on_shard_failure="restart")
-    *_, threaded = run_chaotic(workload, "AAM", "thread", CRASH_PLAN, policy)
+    *_, serial = run_chaotic(workload, "AAM", "serial", CRASH_PLAN, policy)
     *_, processed = run_chaotic(workload, "AAM", "process", CRASH_PLAN, policy)
-    thread_status = {s.shard_id: s for s in threaded.shard_status()}
+    serial_status = {s.shard_id: s for s in serial.shard_status()}
     process_status = {s.shard_id: s for s in processed.shard_status()}
     crashed = {spec.shard_id for spec in CRASH_PLAN.faults}
     for shard_id in crashed:
         assert (
             process_status[shard_id].last_error
-            == thread_status[shard_id].last_error
+            == serial_status[shard_id].last_error
         )
         assert "InjectedShardCrash" in process_status[shard_id].last_error
         assert (
             process_status[shard_id].restarts
-            == thread_status[shard_id].restarts
+            == serial_status[shard_id].restarts
         )
         assert process_status[shard_id].state == "live"
     assert {e.shard_id for e in processed.recovery_events} == crashed
     assert all(e.action == "restart" for e in processed.recovery_events)
     # The replay prefix is cut at the ordinal the worker died on, so the
-    # replayed-arrival count matches the thread executor exactly (whose
+    # replayed-arrival count matches the serial executor exactly (whose
     # journal holds precisely what its dispatcher consumed).
     assert (
         processed.metrics.replayed_arrivals
-        == threaded.metrics.replayed_arrivals
+        == serial.metrics.replayed_arrivals
     )
-    assert processed.metrics.restarts == threaded.metrics.restarts == 3
+    assert processed.metrics.restarts == serial.metrics.restarts == 3

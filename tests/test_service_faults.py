@@ -138,7 +138,7 @@ class TestFaultInjector:
         assert not injector.stall_active(0, processed=99)
         injector.release_stalls(shard_id=1)
         assert not injector.stall_active(1, processed=5)
-        assert injector.wait_stall_release(1, processed=5, timeout=0.01)
+        assert not injector.stall_active(1, processed=99)
 
 
 @pytest.fixture
@@ -169,12 +169,12 @@ class TestFailFast:
                 for s in dispatcher.shard_status()}[0] == 1
         dispatcher.stop()
 
-    def test_thread_crash_parks_error_until_drain(self, plan):
+    def test_process_crash_parks_error_until_drain(self, plan):
         faults = FaultPlan(
             faults=(FaultSpec(kind="crash", shard_id=0, at_arrival=2),)
         )
         dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
+            plan, executor="process", queue_capacity=64, faults=faults
         )
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 5):
@@ -219,13 +219,13 @@ class TestStalls:
         assert dispatcher.metrics.workers_fed == 5
         dispatcher.stop()
 
-    def test_thread_stall_blocks_then_releases(self, plan):
+    def test_serial_stall_blocks_then_releases(self, plan):
         faults = FaultPlan(
             faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=1),)
         )
         injector = faults.injector()
         dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=injector
+            plan, executor="serial", queue_capacity=64, faults=injector
         )
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 4):
@@ -241,7 +241,7 @@ class TestStalls:
             faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=1),)
         )
         dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
+            plan, executor="serial", queue_capacity=64, faults=faults
         )
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 4):
@@ -249,16 +249,24 @@ class TestStalls:
         dispatcher.stop()  # must not hang on the stalled shard
         assert dispatcher.metrics.workers_fed == 3
 
+    def test_process_executor_rejects_stall_faults(self, plan):
+        """The stall gate lives in the serial drain; process refuses it."""
+        faults = FaultPlan(
+            faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=1),)
+        )
+        with pytest.raises(ValueError, match="stall faults are not supported"):
+            ShardedDispatcher(plan, executor="process", faults=faults)
+
 
 class TestStopExceptionSafety:
-    def test_stop_cleans_up_before_reraising(self, plan):
-        """stop(drain=True) must close queues and join threads even when
+    def test_process_stop_cleans_up_before_reraising(self, plan):
+        """stop(drain=True) must close queues and join pumps even when
         draining re-raises a parked shard error (the half-alive bug)."""
         faults = FaultPlan(
             faults=(FaultSpec(kind="crash", shard_id=0, at_arrival=1),)
         )
         dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
+            plan, executor="process", queue_capacity=64, faults=faults
         )
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         dispatcher.feed_worker(shard0_worker(1))
@@ -288,7 +296,7 @@ class TestDrainDeadline:
         ))
         injector = faults.injector()
         dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=injector
+            plan, executor="serial", queue_capacity=64, faults=injector
         )
         for i, (cx, cy) in enumerate(CENTERS):
             dispatcher.submit_instance(campaign(cx, cy, tid0=100 * i))

@@ -110,6 +110,20 @@ class TestArrivalJournal:
         with pytest.raises(JournalReplayError):
             journal.replay(LTCDispatcher())
 
+    def test_unreplayable_journal_feeds_the_target_nothing(self):
+        """Replayability is checked before the first entry is applied."""
+        journal = ArrivalJournal()
+        journal.record_open("a", campaign(*CENTERS[0]), "AAM")
+        journal.record_worker(city_worker(1))
+        journal.record_open("b", campaign(*CENTERS[0], tid0=50), None,
+                            replayable=False)
+        target = LTCDispatcher()
+        with pytest.raises(JournalReplayError, match="'b'"):
+            journal.replay(target)
+        assert target.session_ids == []
+        assert target.metrics.sessions_opened == 0
+        assert target.metrics.workers_fed == 0
+
     def test_tainted_journal_raises(self):
         journal = ArrivalJournal()
         assert journal.replayable
@@ -325,10 +339,10 @@ class TestRestartRecovery:
         assert {s.shard_id: s.state for s in dispatcher.shard_status()}[0] == "failed"
         dispatcher.stop()
 
-    def test_thread_restart_is_transparent(self, plan):
+    def test_process_restart_is_transparent(self, plan):
         dispatcher = ShardedDispatcher(
             plan,
-            executor="thread",
+            executor="process",
             queue_capacity=256,
             faults=crash_fault(shard_id=0, at_arrival=3),
             recovery=RecoveryPolicy(on_shard_failure="restart"),
@@ -416,13 +430,50 @@ class TestQuarantine:
         assert state[overflow] == "failed"
         dispatcher.stop()
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_quarantine_replays_or_discards_every_arrival(self, plan, executor):
+        """Each arrival routed to the quarantined shard is either in the
+        prefix adopted by overflow or counted as discarded, never both.
+
+        Under ``process`` the pump usually races ahead of the dying
+        worker, so some journaled arrivals sit behind the death's cut:
+        they must be discarded, not adopted.
+        """
+        dispatcher = ShardedDispatcher(
+            plan,
+            executor=executor,
+            queue_capacity=256,
+            faults=crash_fault(shard_id=0, at_arrival=3),
+            recovery=RecoveryPolicy(on_shard_failure="quarantine"),
+        )
+        sid = dispatcher.submit_instance(campaign(*CENTERS[0]))
+        for index in range(1, 41):
+            dispatcher.feed_worker(city_worker(index))
+        assert dispatcher.drain(timeout=30.0)
+        [event] = dispatcher.recovery_events
+        assert event.action == "quarantine"
+        assert event.replayed_arrivals == 3  # consumed through the crash
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert status[0].state == "quarantined"
+        assert (
+            event.replayed_arrivals + status[0].arrivals_discarded
+            == dispatcher.arrivals_offered
+        )
+        assert dispatcher.shard_of(sid) == plan.overflow_shard
+        assert dispatcher.metrics.quarantined_sessions == 1
+        # The adopted history predates overflow's journal.
+        overflow = dispatcher._shards[plan.overflow_shard]
+        assert not overflow.journal.replayable
+        assert set(dispatcher.close_all()) == {sid}
+        dispatcher.stop()
+
 
 class TestProcessRecovery:
     """The worker-process failure transport feeds the same bookkeeping.
 
     A dispatch failure inside a shard's worker process crosses the pipe
     as a pickled exception plus the worker-side traceback; the
-    supervisor must then record exactly what the thread executor records
+    supervisor must then record exactly what the serial executor records
     for the identical fault, and the surfaced exception must carry the
     worker's traceback for operators.
     """
@@ -441,22 +492,22 @@ class TestProcessRecovery:
         dispatcher.drain(timeout=30.0)
         return dispatcher
 
-    def test_process_last_error_matches_thread_executor(self, plan):
+    def test_process_last_error_matches_serial_executor(self, plan):
         faults = crash_fault(shard_id=0, at_arrival=3)
         policy = RecoveryPolicy(on_shard_failure="restart")
-        threaded = self.run_executor(plan, "thread", faults, policy)
+        serial = self.run_executor(plan, "serial", faults, policy)
         processed = self.run_executor(plan, "process", faults, policy)
-        thread_status = {s.shard_id: s for s in threaded.shard_status()}
+        serial_status = {s.shard_id: s for s in serial.shard_status()}
         process_status = {s.shard_id: s for s in processed.shard_status()}
         assert (
             process_status[0].last_error
-            == thread_status[0].last_error
+            == serial_status[0].last_error
             == repr(InjectedShardCrash("injected crash: shard 0, arrival 3"))
         )
-        assert process_status[0].restarts == thread_status[0].restarts == 1
+        assert process_status[0].restarts == serial_status[0].restarts == 1
         assert process_status[0].state == "live"
         assert processed.metrics.restarts == 1
-        threaded.stop()
+        serial.stop()
         processed.stop()
 
     def test_surfaced_error_carries_worker_traceback(self, plan):
@@ -482,9 +533,33 @@ class TestProcessRecovery:
         assert "InjectedShardCrash" in status[0].last_error
         dispatcher.stop()  # the parked error was consumed; stop is clean
 
-    def test_escalated_transient_restarts_like_thread(self, plan):
+    def test_process_terminal_failure_settles_the_piped_suffix(self, plan):
+        """With the restart budget spent, the arrivals journaled and piped
+        behind the death's cut are credited and counted as discarded, so
+        drain() returns instead of waiting for acks that never come."""
+        dispatcher = ShardedDispatcher(
+            plan,
+            executor="process",
+            queue_capacity=256,
+            recovery=RecoveryPolicy(on_shard_failure="restart", max_restarts=0),
+            faults=crash_fault(shard_id=0, at_arrival=3),
+        )
+        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        for index in range(1, 41):
+            dispatcher.feed_worker(city_worker(index))
+        with pytest.raises(InjectedShardCrash):
+            dispatcher.drain(timeout=30.0)
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert status[0].state == "failed"
+        assert status[0].queue_depth == 0
+        assert status[0].arrivals_processed == status[0].arrivals_accepted
+        # Arrivals 1-3 were consumed; every later one is discarded.
+        assert status[0].arrivals_discarded == dispatcher.arrivals_offered - 3
+        dispatcher.stop()
+
+    def test_escalated_transient_restarts_like_serial(self, plan):
         """A transient outliving its retry budget kills the worker; the
-        restart replays and the schedule marches on, as in the thread
+        restart replays and the schedule marches on, as in the serial
         executor."""
         faults = FaultPlan(faults=(
             FaultSpec(
@@ -494,17 +569,17 @@ class TestProcessRecovery:
         policy = RecoveryPolicy(
             on_shard_failure="restart", transient_retries=1
         )
-        threaded = self.run_executor(plan, "thread", faults, policy)
+        serial = self.run_executor(plan, "serial", faults, policy)
         processed = self.run_executor(plan, "process", faults, policy)
-        thread_status = {s.shard_id: s for s in threaded.shard_status()}
+        serial_status = {s.shard_id: s for s in serial.shard_status()}
         process_status = {s.shard_id: s for s in processed.shard_status()}
         assert (
-            process_status[0].last_error == thread_status[0].last_error
+            process_status[0].last_error == serial_status[0].last_error
         )
         assert "injected transient dispatch failure" in (
             process_status[0].last_error
         )
-        assert process_status[0].restarts == thread_status[0].restarts
+        assert process_status[0].restarts == serial_status[0].restarts
         assert process_status[0].state == "live"
-        threaded.stop()
+        serial.stop()
         processed.stop()

@@ -20,6 +20,7 @@ from repro.service import (
     ShardPlan,
     UnknownSessionError,
 )
+from repro.service.sharding import EXECUTORS
 from repro.service.sharding.plan import instance_reach_radius, tasks_reach_bounds
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
@@ -422,8 +423,8 @@ class TestShardedDispatcher:
         assert dispatcher.poll()["session-1"].workers_routed == 4
         dispatcher.stop()
 
-    def test_thread_executor_serves_and_stops(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="thread",
+    def test_process_executor_serves_and_stops(self, plan, campaigns):
+        dispatcher = ShardedDispatcher(plan, executor="process",
                                        queue_capacity=256)
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         stream = city_stream(200)
@@ -475,3 +476,8 @@ class TestShardedDispatcher:
     def test_invalid_executor(self, plan):
         with pytest.raises(ValueError):
             ShardedDispatcher(plan, executor="fork")
+
+    def test_thread_executor_is_rejected(self, plan):
+        assert EXECUTORS == ("serial", "process")
+        with pytest.raises(ValueError, match="expected one of serial, process"):
+            ShardedDispatcher(plan, executor="thread")

@@ -8,11 +8,9 @@ identical replayable workload through:
 * the single-process :class:`~repro.service.LTCDispatcher` (the oracle),
 * the :class:`~repro.service.sharding.ShardedDispatcher` under the
   ``serial`` executor (the deterministic merge configuration),
-* the ``thread`` executor (cross-shard interleaving is arbitrary, but
-  per-session sub-streams stay FIFO), and
 * the ``process`` executor (each shard's dispatcher in a worker process,
-  task snapshots crossing as shared memory — same FIFO argument, now
-  across a pipe),
+  task snapshots crossing as shared memory; cross-shard interleaving is
+  arbitrary, but per-session sub-streams stay FIFO across the pipe),
 
 and comparing the final per-session arrangements **assignment by
 assignment** (same pairs, same order, same per-session re-indexed worker
@@ -95,7 +93,7 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_sharded_matches_single_process(workload, solver, executor):
     base = run_single_process(workload, solver)
     ids, streams, results, _ = run_sharded(workload, solver, executor)
@@ -117,13 +115,13 @@ def test_single_shard_plan_matches_too(workload):
     assert_identical(base, (ids, streams, results))
 
 
-def test_lossless_runs_shed_nothing(workload):
-    *_, dispatcher = run_sharded(workload, "AAM", "thread")
+def test_process_lossless_runs_shed_nothing(workload):
+    *_, dispatcher = run_sharded(workload, "AAM", "process")
     assert dispatcher.shed_total == 0
     assert dispatcher.arrivals_offered == CONFIG.num_workers
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_expiry_is_exact_across_runtimes(workload, executor):
     """A TTL sweep at the same per-session point yields identical state.
 

@@ -15,7 +15,7 @@ pinned here:
   the worker serves the new tasks byte-identically to single-process;
 * without numpy the same API degrades to inline pickle (``mode ==
   "inline"``, no segment), and without a working multiprocessing
-  context the sharded dispatcher degrades to the thread executor with a
+  context the sharded dispatcher degrades to the serial executor with a
   ``RuntimeWarning``.
 """
 
@@ -249,18 +249,52 @@ def test_submit_tasks_re_exports_and_stays_exact(workload, segment_log):
 # ----------------------------------------------------- graceful degradation
 
 
-def test_degrades_to_thread_executor_with_a_warning(monkeypatch, workload):
+def test_degrades_to_serial_executor_with_a_warning(monkeypatch, workload):
     monkeypatch.setattr(
         "repro.service.sharding.dispatcher.process_executor_available",
         lambda: False,
     )
     plan = ShardPlan.for_region(CONFIG.bounds, cols=2, rows=1)
-    with pytest.warns(RuntimeWarning, match="degrading to the thread"):
+    with pytest.warns(RuntimeWarning, match="degrading to the serial"):
         dispatcher = ShardedDispatcher(plan, executor="process")
-    assert dispatcher.executor == "thread"
+    assert dispatcher.executor == "serial"
     ids = [dispatcher.submit_instance(c) for c in workload.campaigns]
     dispatcher.feed_stream(workload.worker_stream())
     dispatcher.drain()
     results = dispatcher.close_all()
     dispatcher.stop()
     assert set(results) == set(ids)
+
+
+def test_degraded_executor_restarts_crashed_shards_exactly(
+    monkeypatch, workload, segment_log
+):
+    """The serial fallback keeps journal-replay restarts.
+
+    Crashes under the degraded runtime are replayed from each shard's
+    journal, so the arrangements match a fault-free process run; and the
+    degraded runtime never exports a shared-memory segment.
+    """
+    base_ids, base_streams, base_results = run_process_sharded(workload)
+    exports_before = len(segment_log)
+    monkeypatch.setattr(
+        "repro.service.sharding.dispatcher.process_executor_available",
+        lambda: False,
+    )
+    faults = FaultPlan.seeded(
+        seed=13, shard_ids=[0, 1], max_arrival=120, crashes=2
+    )
+    with pytest.warns(RuntimeWarning, match="degrading to the serial"):
+        ids, streams, results = run_process_sharded(
+            workload,
+            faults=faults,
+            policy=RecoveryPolicy(on_shard_failure="restart"),
+        )
+    assert len(segment_log) == exports_before
+    assert len(ids) == len(base_ids)
+    for base_id, sid in zip(base_ids, ids):
+        assert streams[sid] == base_streams[base_id]
+        assert (
+            results[sid].arrangement.assignments
+            == base_results[base_id].arrangement.assignments
+        )
