@@ -102,21 +102,12 @@ def drive_legacy(instance: LTCInstance, observe) -> tuple:
     arrangement = instance.new_arrangement()
     finder = LegacyCandidateFinder(instance)
     arrivals = 0
-    open_tasks = instance.num_tasks
-    finished = set()
     for worker in instance.workers:
-        if open_tasks == 0:
+        if arrangement.is_complete():
             break
-        assigned_ids = observe(instance, arrangement, finder, worker)
+        observe(instance, arrangement, finder, worker)
         arrivals += 1
-        # Completion is tracked incrementally (identically in both
-        # drivers): an O(T) is_complete() poll per arrival would dominate
-        # the candidate path being measured for every implementation.
-        for task_id in assigned_ids:
-            if task_id not in finished and arrangement.is_task_complete(task_id):
-                finished.add(task_id)
-                open_tasks -= 1
-    return arrangement.assignments, arrivals, open_tasks == 0
+    return arrangement.assignments, arrivals, arrangement.is_complete()
 
 
 def drive_engine(instance: LTCInstance, solver_cls, backend: str) -> tuple:
@@ -124,19 +115,12 @@ def drive_engine(instance: LTCInstance, solver_cls, backend: str) -> tuple:
     solver.start(instance)
     arrangement = solver.arrangement
     arrivals = 0
-    open_tasks = instance.num_tasks
-    finished = set()
     for worker in instance.workers:
-        if open_tasks == 0:
+        if arrangement.is_complete():
             break
-        assignments = solver.observe(worker)
+        solver.observe(worker)
         arrivals += 1
-        for assignment in assignments:
-            task_id = assignment.task_id
-            if task_id not in finished and arrangement.is_task_complete(task_id):
-                finished.add(task_id)
-                open_tasks -= 1
-    return arrangement.assignments, arrivals, open_tasks == 0
+    return arrangement.assignments, arrivals, arrangement.is_complete()
 
 
 def _finish_entry(entry, times, runners, backends, baseline="legacy",

@@ -181,7 +181,6 @@ class RebuildAAM(_RebuildPerSubmitMixin, AAMSolver):
         need = engine.float_array(delta)
         heap = []
         total = 0.0
-        count = 0
         for task in self._instance.tasks:
             task_id = task.task_id
             if arrangement.is_task_complete(task_id):
@@ -191,11 +190,9 @@ class RebuildAAM(_RebuildPerSubmitMixin, AAMSolver):
             need[position] = value
             heap.append((-value, position))
             total += value
-            count += 1
         heapq.heapify(heap)
         self._need = need
         self._need_heap = heap
-        self._uncompleted_count = count
         self._remaining_sum = total
         self._sum_compensation = 0.0
         self._abs_update_total = total
@@ -203,36 +200,20 @@ class RebuildAAM(_RebuildPerSubmitMixin, AAMSolver):
 
 def drive_session(solver, base: LTCInstance, events) -> tuple:
     """Feed the event stream through a session; stop once fully complete
-    with no submissions left (the long-lived serving loop).  Completion
-    is tracked incrementally from the returned assignments — an O(T)
-    ``is_complete`` poll per arrival would dominate the candidate path
-    being measured, identically for every driver."""
+    with no submissions left (the long-lived serving loop)."""
     session = solver.open_session(clone_instance(base))
     total_batches = sum(1 for kind, _ in events if kind == "tasks")
     arrivals = 0
     consumed_batches = 0
-    open_tasks = base.num_tasks
-    finished = set()
-    arrangement = None
     for kind, payload in events:
         if kind == "tasks":
             session.submit_tasks(payload)
             consumed_batches += 1
-            open_tasks += len(payload)
         else:
-            if open_tasks == 0 and consumed_batches == total_batches:
+            if consumed_batches == total_batches and session.is_complete:
                 break
-            assignments = session.on_worker(payload)
+            session.on_worker(payload)
             arrivals += 1
-            if arrangement is None:
-                arrangement = session.arrangement
-            for assignment in assignments:
-                task_id = assignment.task_id
-                if task_id not in finished and arrangement.is_task_complete(
-                    task_id
-                ):
-                    finished.add(task_id)
-                    open_tasks -= 1
     result = session.result()
     return result.arrangement.assignments, arrivals, result.completed
 

@@ -76,7 +76,7 @@ class AAMSolver(OnlineSolver):
         self._arrangement: Optional[Arrangement] = None
         self._candidates: Optional[CandidateFinder] = None
         self._need: Optional[Sequence[float]] = None
-        self._uncompleted_count = 0
+        self._capacity = 0
         self._remaining_sum = 0.0
         self._sum_compensation = 0.0
         self._abs_update_total = 0.0
@@ -97,7 +97,7 @@ class AAMSolver(OnlineSolver):
         engine = self._candidates.engine
         delta = self._arrangement.delta
         self._need = engine.float_array(delta)
-        self._uncompleted_count = instance.num_tasks
+        self._capacity = instance.capacity
         # Seed the running sum with the same left-to-right addition order
         # the naive scan uses, so the two start bit-identical.
         total = 0.0
@@ -151,7 +151,6 @@ class AAMSolver(OnlineSolver):
         old_need = float(self._need[position])
         if arrangement.is_task_complete(task_id):
             candidates.retire_tasks((task_id,))
-            self._uncompleted_count -= 1
             self._add_to_sum(-old_need)
         else:
             new_need = arrangement.delta - arrangement.accumulated_of(task_id)
@@ -183,8 +182,8 @@ class AAMSolver(OnlineSolver):
 
         Extends the instance/arrangement/snapshot in place and folds each
         new task's full ``delta`` need into the incremental statistics
-        (running remaining sum, need max-heap, uncompleted count), so the
-        LGF/LRF switch sees the enlarged task set on the next arrival.
+        (running remaining sum, need max-heap), so the LGF/LRF switch sees
+        the enlarged task set on the next arrival.
         """
         if self._instance is None or self._arrangement is None or self._candidates is None:
             raise RuntimeError("start() must be called before add_tasks()")
@@ -199,7 +198,6 @@ class AAMSolver(OnlineSolver):
             position = engine.position_of[task.task_id]
             self._add_to_sum(delta)
             heapq.heappush(self._need_heap, (-delta, position))
-        self._uncompleted_count += len(tasks)
 
     def expire_tasks(self, task_ids: Sequence[int]) -> List[int]:
         """Abandon overdue tasks and unwind them from the running statistics.
@@ -207,19 +205,21 @@ class AAMSolver(OnlineSolver):
         Each expired task leaves the arrangement's open set (abandoned, no
         further assignments) and the candidate snapshot (tombstoned), and
         its remaining need is subtracted from the incremental
-        remaining-``Acc*`` sum and uncompleted count — the same bookkeeping
-        a completion performs, so ``avg``/``maxRemain`` keep describing
-        exactly the live open tasks.  Stale heap entries for the expired
-        positions are skipped lazily by the ``alive`` check in
-        :meth:`_current_max_remaining`.  Returns the ids actually expired
-        (completed and already-expired ids are skipped).
+        remaining-``Acc*`` sum — the same bookkeeping a completion
+        performs, so ``avg``/``maxRemain`` keep describing exactly the live
+        open tasks.  Stale heap entries for the expired positions are
+        skipped lazily by the ``alive`` check in
+        :meth:`_current_max_remaining`.  Returns the ids actually expired,
+        each once in first-seen order (completed, already-expired and
+        repeated ids are skipped).
         """
         if self._instance is None or self._arrangement is None or self._candidates is None:
             raise RuntimeError("start() must be called before expire_tasks()")
         arrangement = self._arrangement
         engine = self._candidates.engine
         position_of = engine.position_of
-        expired: List[int] = []
+        # A dict keeps first-seen order and drops ids repeated in one call.
+        fresh: Dict[int, None] = {}
         for task_id in task_ids:
             if task_id not in position_of:
                 raise KeyError(f"task id {task_id} is not in the snapshot")
@@ -227,14 +227,14 @@ class AAMSolver(OnlineSolver):
                 continue
             if arrangement.is_task_complete(task_id):
                 continue
-            expired.append(task_id)
+            fresh[task_id] = None
+        expired = list(fresh)
         if expired:
             arrangement.abandon_tasks(expired)
             self._candidates.retire_tasks(expired)
             for task_id in expired:
                 position = position_of[task_id]
                 self._add_to_sum(-float(self._need[position]))
-                self._uncompleted_count -= 1
         return expired
 
     # ---------------------------------------------------------------- observe
@@ -247,9 +247,11 @@ class AAMSolver(OnlineSolver):
         instance = self._instance
 
         # "Average" work left per capacity unit vs. the single worst task.
-        if self._uncompleted_count == 0:
+        open_tasks = arrangement.num_open_tasks
+        if open_tasks == 0:
             return []
-        avg = self._remaining_sum / instance.capacity
+        capacity = self._capacity
+        avg = self._remaining_sum / capacity
         max_remain = self._current_max_remaining()
         # Knife-edge guard: the incremental sum can differ from the naive
         # left-to-right sum by accumulated rounding, which is exactly
@@ -263,8 +265,8 @@ class AAMSolver(OnlineSolver):
         # the band scales with ``_abs_update_total`` (divided by K, like
         # the averages) and with the live task count; outside it the
         # branch is free.
-        band = max(1e-9, 1e-15 * self._uncompleted_count) * max(
-            1.0, abs(avg), self._abs_update_total / instance.capacity
+        band = max(1e-9, 1e-15 * open_tasks) * max(
+            1.0, abs(avg), self._abs_update_total / capacity
         )
         if abs(avg - max_remain) <= band:
             # Expired (abandoned) tasks are excluded exactly like completed
@@ -274,7 +276,7 @@ class AAMSolver(OnlineSolver):
                 for task in instance.tasks
                 if not arrangement.is_task_complete(task.task_id)
                 and not arrangement.is_task_abandoned(task.task_id)
-            ) / instance.capacity
+            ) / capacity
         use_lgf = avg >= max_remain
         if use_lgf:
             self._lgf_rounds += 1

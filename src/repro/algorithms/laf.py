@@ -111,7 +111,8 @@ class LAFSolver(OnlineSolver):
             raise RuntimeError("start() must be called before expire_tasks()")
         arrangement = self._arrangement
         position_of = self._candidates.engine.position_of
-        expired: List[int] = []
+        # A dict keeps first-seen order and drops ids repeated in one call.
+        fresh: Dict[int, None] = {}
         for task_id in task_ids:
             if task_id not in position_of:
                 raise KeyError(f"task id {task_id} is not in the snapshot")
@@ -119,7 +120,8 @@ class LAFSolver(OnlineSolver):
                 continue
             if arrangement.is_task_complete(task_id):
                 continue
-            expired.append(task_id)
+            fresh[task_id] = None
+        expired = list(fresh)
         if expired:
             arrangement.abandon_tasks(expired)
             self._candidates.retire_tasks(expired)

@@ -97,15 +97,13 @@ class _SolverSession(Session):
             )
         arrangement = self.arrangement
         total = len(self._instance.tasks)
-        abandoned = len(arrangement.abandoned_tasks)
+        abandoned = arrangement.num_abandoned_tasks
         return SessionSnapshot(
             algorithm=self.algorithm,
             workers_observed=self._observed,
             num_assignments=len(arrangement),
             tasks_total=total,
-            tasks_completed=(
-                total - len(arrangement.uncompleted_tasks()) - abandoned
-            ),
+            tasks_completed=total - arrangement.num_open_tasks - abandoned,
             max_latency=arrangement.max_latency,
             complete=self.is_complete,
             tasks_abandoned=abandoned,

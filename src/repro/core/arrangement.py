@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.accuracy import AccuracyModel
+from repro.core.accuracy import AccuracyModel, acc_star
 from repro.core.exceptions import CapacityExceeded, DuplicateAssignment
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -44,7 +44,8 @@ class Arrangement:
     delta:
         The quality threshold each task must accumulate in ``Acc*``.
     accuracy_model:
-        Used to evaluate ``Acc``/``Acc*`` when an assignment is added.
+        Used to evaluate ``Acc`` when an assignment is added; ``Acc*`` is
+        derived from it as ``(2 * Acc - 1)^2``.
 
     Notes
     -----
@@ -53,6 +54,13 @@ class Arrangement:
     every :meth:`assign` call.  The *error-rate constraint* is a property of
     the finished arrangement checked via :meth:`is_complete` /
     :meth:`uncompleted_tasks`.
+
+    The arrangement keeps a running count of *open* tasks (neither complete
+    nor abandoned), updated by :meth:`add_tasks`, :meth:`assign` and
+    :meth:`abandon_tasks` with the same comparison the scan uses
+    (``accumulated < delta - 1e-9``).  :meth:`is_complete` and
+    :attr:`num_open_tasks` read it, so a per-arrival completion check costs
+    O(1) however many tasks the arrangement has seen.
     """
 
     def __init__(
@@ -78,6 +86,10 @@ class Arrangement:
         }
         self._abandoned: Set[int] = set()
         self._max_index_used = 0
+        # Tasks below the open limit; a tiny ``delta`` can make a new task
+        # start complete.
+        self._open_limit = self._delta - 1e-9
+        self._num_open = len(ids) if self._open_limit > 0.0 else 0
 
     # ------------------------------------------------------------------ state
 
@@ -130,6 +142,8 @@ class Arrangement:
             self._tasks[task.task_id] = task
             self._accumulated[task.task_id] = 0.0
             self._workers_by_task[task.task_id] = []
+        if self._open_limit > 0.0:
+            self._num_open += len(incoming)
 
     def abandon_tasks(self, task_ids: Sequence[int]) -> None:
         """Mark tasks as expired: they no longer block completion.
@@ -154,7 +168,11 @@ class Arrangement:
                     f"task {task_id} already reached the quality threshold; "
                     "completed tasks cannot be abandoned"
                 )
-        self._abandoned.update(incoming)
+        abandoned = self._abandoned
+        for task_id in incoming:
+            if task_id not in abandoned:
+                abandoned.add(task_id)
+                self._num_open -= 1
 
     def is_task_abandoned(self, task_id: int) -> bool:
         """Whether ``task_id`` was expired via :meth:`abandon_tasks`."""
@@ -164,6 +182,11 @@ class Arrangement:
     def abandoned_tasks(self) -> List[int]:
         """Ids of expired tasks, in ascending order."""
         return sorted(self._abandoned)
+
+    @property
+    def num_abandoned_tasks(self) -> int:
+        """How many tasks were expired via :meth:`abandon_tasks` (O(1))."""
+        return len(self._abandoned)
 
     def workers_of(self, task_id: int) -> List[int]:
         """Arrival indices of the workers assigned to ``task_id``."""
@@ -196,9 +219,14 @@ class Arrangement:
             if value < self._delta - tolerance and task_id not in abandoned
         ]
 
-    def is_complete(self, tolerance: float = 1e-9) -> bool:
-        """Whether every task has reached the quality threshold."""
-        return not self.uncompleted_tasks(tolerance)
+    @property
+    def num_open_tasks(self) -> int:
+        """How many tasks are neither complete nor abandoned (O(1))."""
+        return self._num_open
+
+    def is_complete(self) -> bool:
+        """Whether every task reached the threshold or was abandoned (O(1))."""
+        return self._num_open == 0
 
     # -------------------------------------------------------------- latencies
 
@@ -250,7 +278,7 @@ class Arrangement:
             )
 
         acc = self._accuracy_model.accuracy(worker, task)
-        star = self._accuracy_model.acc_star(worker, task)
+        star = acc_star(acc)
         assignment = Assignment(
             worker_index=worker.index,
             task_id=task.task_id,
@@ -259,7 +287,12 @@ class Arrangement:
         )
         self._assignments.append(assignment)
         self._pairs.add(pair)
-        self._accumulated[task.task_id] += star
+        before = self._accumulated[task.task_id]
+        after = before + star
+        self._accumulated[task.task_id] = after
+        # Acc* >= 0, so a sum crosses the open limit at most once.
+        if before < self._open_limit <= after:
+            self._num_open -= 1
         self._load[worker.index] = load + 1
         self._workers_by_task[task.task_id].append(worker.index)
         self._max_index_used = max(self._max_index_used, worker.index)
@@ -323,9 +356,7 @@ class Arrangement:
             "max_latency": float(self.max_latency),
             "workers_used": float(len(self._load)),
             "tasks_completed": float(
-                len(self._tasks)
-                - len(self.uncompleted_tasks())
-                - len(self._abandoned)
+                len(self._tasks) - self._num_open - len(self._abandoned)
             ),
             "tasks_abandoned": float(len(self._abandoned)),
             "tasks_total": float(len(self._tasks)),

@@ -10,6 +10,7 @@ but consume the workers one at a time through a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.accuracy import AccuracyModel, SigmoidDistanceAccuracy
@@ -77,13 +78,16 @@ class LTCInstance:
         """The quality threshold ``2 * ln(1 / epsilon)``."""
         return quality_threshold(self.error_rate)
 
-    @property
+    @cached_property
     def capacity(self) -> int:
         """The workers' shared capacity ``K``.
 
         The paper assumes every worker has the same capacity; when workers
         disagree this returns the minimum, which is the conservative value the
-        bound formulas need.
+        bound formulas need.  Workers are fixed at construction, so the
+        minimum is taken on the first read and cached: every later read is
+        O(1) (AAM reads it on each arrival), and building an instance pays
+        nothing for it.
         """
         return min(worker.capacity for worker in self.workers)
 

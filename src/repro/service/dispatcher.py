@@ -33,7 +33,7 @@ stops at completion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import Solver, SolveResult
@@ -108,7 +108,16 @@ class _ManagedSession:
 
     def deliver(self, worker: Worker) -> List[Assignment]:
         """Re-index ``worker`` into local arrival order and feed the session."""
-        local = replace(worker, index=self.workers_routed + 1)
+        # The constructor (validation included) is cheaper per delivery
+        # than ``dataclasses.replace``; ``metadata`` is shared, not copied.
+        local = Worker(
+            self.workers_routed + 1,
+            worker.location,
+            worker.accuracy,
+            worker.capacity,
+            worker.arrival_time,
+            worker.metadata,
+        )
         assignments = self.session.on_worker(local)
         self.workers_routed += 1
         if self.routed_stream is not None:
@@ -302,6 +311,10 @@ class LTCDispatcher:
         radius is computed once per arrival for each distinct
         ``(d_max, min_accuracy)``.  The test only rejects sessions the
         probe would reject too, so routing is unchanged.
+
+        After each delivery the session's completion is re-checked; that
+        reads the arrangement's open-task count, so it costs O(1) however
+        many tasks the session has seen.
         """
         started = self._clock()
         self._metrics.workers_fed += 1

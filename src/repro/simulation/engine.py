@@ -106,7 +106,7 @@ class OnlineSimulation:
                 ArrivalEvent(
                     worker_index=worker.index,
                     assignments=tuple(assignments),
-                    tasks_remaining=len(arrangement.uncompleted_tasks()),
+                    tasks_remaining=arrangement.num_open_tasks,
                     newly_completed_tasks=tuple(newly_completed),
                 )
             )

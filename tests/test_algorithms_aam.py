@@ -1,5 +1,7 @@
 """Tests for the AAM online solver (Algorithm 3) and its ablation variants."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms.aam import AAMSolver, LGFOnlySolver, LRFOnlySolver
@@ -129,3 +131,30 @@ class TestAblationVariants:
         lrf = LRFOnlySolver().solve(small_synthetic_instance).max_latency
         # The hybrid should not lose to both of its components at once.
         assert aam <= max(lgf, lrf)
+
+
+class _UniterableWorkers(list):
+    """A worker list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("instance.workers iterated after start()")
+
+
+def test_observe_does_not_scan_the_workers(small_synthetic_instance):
+    """K is read once per arrival; reading it must not walk every worker."""
+    # A private copy: the shared fixture must not be mutated.
+    instance = replace(
+        small_synthetic_instance,
+        tasks=list(small_synthetic_instance.tasks),
+        workers=list(small_synthetic_instance.workers),
+    )
+    stream = list(instance.workers)
+    reference = AAMSolver().solve(instance).arrangement.assignments
+    solver = AAMSolver()
+    solver.start(instance)
+    instance.workers = _UniterableWorkers(stream)
+    for worker in stream:
+        if solver.arrangement.is_complete():
+            break
+        solver.observe(worker)
+    assert solver.arrangement.assignments == reference

@@ -252,11 +252,11 @@ class TestAAMIncrementalStats:
         for worker in instance.workers:
             naive = self._naive_stats(instance, solver.arrangement)
             if naive is None:
-                assert solver._uncompleted_count == 0
+                assert solver.arrangement.num_open_tasks == 0
                 assert solver.observe(worker) == []
                 continue
             naive_sum, naive_max = naive
-            assert solver._uncompleted_count > 0
+            assert solver.arrangement.num_open_tasks > 0
             # The max is the same float the naive scan finds; the running
             # sum is compensated but may differ from the left-to-right
             # naive sum in accumulated ulps.
@@ -294,7 +294,7 @@ class TestAAMIncrementalStats:
         solver = AAMSolver()
         solver.start(instance)
         for worker in instance.workers:
-            if solver._uncompleted_count == 0:
+            if solver.arrangement.num_open_tasks == 0:
                 break
             naive_sum, naive_max = self._naive_stats(instance, solver.arrangement)
             assert solver._current_max_remaining() == naive_max

@@ -1,6 +1,7 @@
 """Tests for repro.core.arrangement (constraints, latency, accumulation)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.accuracy import ConstantAccuracy, TabularAccuracy
 from repro.core.arrangement import Arrangement
@@ -157,3 +158,124 @@ class TestValidationAndSummary:
         second = arrangement.assign(w, tasks[1])
         assert first.acc_star == pytest.approx((2 * 0.96 - 1) ** 2)
         assert second.acc_star == pytest.approx((2 * 0.7 - 1) ** 2)
+
+
+# One step of an arrangement's life: post new tasks, assign a worker of
+# some accuracy to an existing task, or abandon existing task ids (with
+# repeats, already-abandoned ids and sometimes an unknown id).
+_steps = st.one_of(
+    st.tuples(st.just("add"), st.integers(min_value=0, max_value=3)),
+    st.tuples(
+        st.just("assign"),
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=0.66, max_value=1.0),
+    ),
+    st.tuples(
+        st.just("abandon"),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+        st.booleans(),
+    ),
+)
+
+
+class TestOpenTaskCount:
+    """The O(1) open-task count must agree with the O(T) scan it replaces."""
+
+    @staticmethod
+    def _check(arrangement):
+        open_ids = arrangement.uncompleted_tasks()
+        assert arrangement.num_open_tasks == len(open_ids)
+        assert arrangement.is_complete() == (not open_ids)
+        assert arrangement.num_abandoned_tasks == len(arrangement.abandoned_tasks)
+        summary = arrangement.summary()
+        completed = [
+            task_id
+            for task_id in arrangement.accumulated
+            if arrangement.is_task_complete(task_id)
+            and not arrangement.is_task_abandoned(task_id)
+        ]
+        assert summary["tasks_completed"] == float(len(completed))
+
+    @given(
+        delta=st.sampled_from([5e-10, 1e-9, 0.3, 1.0, 2.5]),
+        initial=st.integers(min_value=0, max_value=3),
+        steps=st.lists(_steps, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_count_matches_scan_after_every_step(self, delta, initial, steps):
+        # With no table entries the model answers each worker's own
+        # historical accuracy, so Acc* varies per assignment.
+        next_id = initial
+        arrangement = Arrangement(
+            [Task.at(i, float(i), 0.0) for i in range(initial)],
+            delta,
+            TabularAccuracy({}),
+        )
+        self._check(arrangement)
+        next_worker = 1
+        for step in steps:
+            ids = list(arrangement.accumulated)
+            if step[0] == "add":
+                arrangement.add_tasks(
+                    [Task.at(next_id + i, 0.0, 0.0) for i in range(step[1])]
+                )
+                next_id += step[1]
+            elif step[0] == "assign" and ids:
+                task = Task.at(ids[step[1] % len(ids)], 0.0, 0.0)
+                new_worker = Worker(
+                    index=next_worker,
+                    location=Point(0, 0),
+                    accuracy=step[2],
+                    capacity=1,
+                )
+                next_worker += 1
+                if arrangement.is_task_abandoned(task.task_id):
+                    with pytest.raises(KeyError):
+                        arrangement.assign(new_worker, task)
+                else:
+                    # Completed tasks may still be assigned (past delta).
+                    arrangement.assign(new_worker, task)
+            elif step[0] == "abandon" and ids:
+                picked = [ids[i % len(ids)] for i in step[1]]
+                # Abandoning a completed task is rejected, as is an unknown id.
+                rejected = any(
+                    arrangement.is_task_complete(task_id)
+                    and not arrangement.is_task_abandoned(task_id)
+                    for task_id in picked
+                )
+                if step[2]:
+                    picked.append(next_id + 100)
+                before = (arrangement.num_open_tasks, arrangement.abandoned_tasks)
+                if rejected or step[2]:
+                    with pytest.raises((KeyError, ValueError)):
+                        arrangement.abandon_tasks(picked)
+                    # Validation runs before any change.
+                    after = (arrangement.num_open_tasks, arrangement.abandoned_tasks)
+                    assert after == before
+                else:
+                    arrangement.abandon_tasks(picked)
+            self._check(arrangement)
+
+    def test_tiny_delta_tasks_start_complete(self):
+        tasks, arrangement = make_arrangement(num_tasks=2, delta=1e-9)
+        assert arrangement.num_open_tasks == 0
+        assert arrangement.is_complete()
+        arrangement.add_tasks([Task.at(5, 0, 0)])
+        assert arrangement.num_open_tasks == 0
+
+    def test_a_sum_landing_on_the_limit_completes_the_task(self):
+        # delta - 1e-9 is exactly 1.0, the Acc* of an accuracy-1.0 worker.
+        tasks, arrangement = make_arrangement(num_tasks=1, delta=1.0 + 1e-9,
+                                              accuracy=1.0)
+        arrangement.assign(worker(1), tasks[0])
+        assert arrangement.uncompleted_tasks() == []
+        assert arrangement.num_open_tasks == 0
+        assert arrangement.is_complete()
+
+    def test_repeated_and_already_abandoned_ids_count_once(self):
+        tasks, arrangement = make_arrangement(num_tasks=3, delta=2.0)
+        arrangement.abandon_tasks([1, 1])
+        assert arrangement.num_open_tasks == 2
+        arrangement.abandon_tasks([1, 2, 2])
+        assert arrangement.num_open_tasks == 1
+        assert arrangement.uncompleted_tasks() == [0]

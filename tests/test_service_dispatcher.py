@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.registry import build_solver
 from repro.core.accuracy import SigmoidDistanceAccuracy
+from repro.core.arrangement import Arrangement
 from repro.core.candidates import sigmoid_eligibility_radius
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
@@ -431,3 +432,80 @@ class TestReachBoxRouting:
             wx, wy = data.draw(point)
             accuracy = data.draw(st.sampled_from([0.7, 0.9, 1.0]))
             feed_checked(dispatcher, arrival(index, wx, wy, accuracy))
+
+
+def dense_dynamic_script():
+    """Drive three dense overlapping sessions with posts, expiries, polls
+    and closes; return everything the run observably produced."""
+    import random
+
+    rng = random.Random(7)
+
+    def tasks(first_id, count):
+        return [Task.at(first_id + i, rng.uniform(0, 60), rng.uniform(0, 60))
+                for i in range(count)]
+
+    dispatcher = LTCDispatcher()
+    batches = {}
+    next_id = 0
+    for solver in ("AAM", "LAF", "AAM"):
+        first = tasks(next_id, 15)
+        session_id = dispatcher.submit_instance(
+            LTCInstance(tasks=first, workers=[arrival(1, 0.0, 0.0)],
+                        error_rate=0.2),
+            solver=solver,
+        )
+        batches[session_id] = [[task.task_id for task in first]]
+        next_id += 15
+    trace = []
+    results = {}
+    for index in range(1, 401):
+        # A quiet spell lets sessions complete; the post at 375 reopens them.
+        if index % 25 == 0 and (index <= 250 or index == 375):
+            for session_id in dispatcher.session_ids:
+                batch = tasks(next_id, 8)
+                next_id += 8
+                dispatcher.submit_tasks(session_id, batch)
+                batches[session_id].append([task.task_id for task in batch])
+        if index % 60 == 0:
+            for session_id in dispatcher.session_ids:
+                oldest = batches[session_id].pop(0)
+                trace.append(("expired", session_id,
+                              dispatcher.expire_tasks(session_id, oldest + oldest[:2])))
+        if index % 50 == 0:
+            trace.append(("poll", {session_id: status.snapshot
+                                   for session_id, status in dispatcher.poll().items()}))
+        if index == 200:
+            results.update({"session-2": dispatcher.close("session-2")})
+        worker = arrival(index, rng.uniform(0, 60), rng.uniform(0, 60),
+                         rng.choice([0.7, 0.85, 0.95]))
+        deliveries = dispatcher.feed_worker(worker)
+        trace.append(("fed", {session_id: [a.as_tuple() for a in assignments]
+                              for session_id, assignments in deliveries.items()}))
+    results.update(dispatcher.close_all())
+    arrangements = {session_id: (result.arrangement.assignments, result.completed)
+                    for session_id, result in results.items()}
+    metrics = dispatcher.metrics.summary()
+    for timed in ("busy_seconds", "throughput_per_second"):
+        metrics.pop(timed)
+    return trace, arrangements, metrics
+
+
+class TestConstantTimeCompletion:
+    def test_dispatch_never_scans_the_task_set(self, monkeypatch):
+        """Completion checks, snapshots and closes read the arrangement's
+        open-task count: with the O(T) scan disabled a dense dynamic run
+        ends with the same deliveries, polls, arrangements and metrics."""
+        reference = dense_dynamic_script()
+        metrics = reference[2]
+        # The script reaches every path that re-checks completion.
+        assert metrics["tasks_expired"] > 0
+        assert metrics["sessions_completed"] > 0
+        assert metrics["sessions_reopened"] > 0
+        assert metrics["sessions_closed"] == 3
+
+        def no_scan(self, tolerance=1e-9):
+            raise AssertionError("uncompleted_tasks() scanned on the dispatch path")
+
+        monkeypatch.setattr(Arrangement, "uncompleted_tasks", no_scan)
+        assert dense_dynamic_script() == reference

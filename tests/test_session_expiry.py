@@ -211,6 +211,31 @@ class TestDispatcherExpiry:
         assert deliveries == {}
 
 
+@pytest.mark.parametrize("solver_cls", [LAFSolver, AAMSolver])
+def test_repeated_ids_in_one_sweep_expire_once(solver_cls):
+    """An id offered twice in one sweep is abandoned, returned and counted
+    once, and the solver's running statistics unwind it once."""
+    instance = small_instance(num_tasks=3)
+    solver = solver_cls()
+    dispatcher = LTCDispatcher()
+    sid = dispatcher.submit_instance(instance, solver=solver)
+    assert sid in dispatcher.feed_worker(instance.workers[0])
+    arrangement = solver.arrangement
+    assert not arrangement.is_task_complete(2)
+    assert dispatcher.expire_tasks(sid, [2, 2]) == [2]
+    assert dispatcher.metrics.tasks_expired == 1
+    open_ids = arrangement.uncompleted_tasks()
+    assert open_ids == [0, 1]
+    assert arrangement.num_open_tasks == 2
+    if solver_cls is AAMSolver:
+        naive = sum(arrangement.remaining_of(task_id) for task_id in open_ids)
+        assert solver._remaining_sum == pytest.approx(naive, rel=1e-12)
+    # Repeats keep first-seen order and skip what an earlier sweep took.
+    assert dispatcher.expire_tasks(sid, [1, 2, 0, 1]) == [1, 0]
+    assert dispatcher.metrics.tasks_expired == 3
+    assert dispatcher.poll()[sid].complete
+
+
 class TestMetricsMerge:
     def test_merged_sums_every_counter(self):
         first = DispatcherMetrics(workers_fed=10, workers_unrouted=2,
